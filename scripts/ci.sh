@@ -1,29 +1,27 @@
 #!/usr/bin/env bash
-# CI driver: the exact sequence the GitHub workflow runs, kept as a
-# script so it can be reproduced locally with ./scripts/ci.sh.
+# CI entry point: every stage the GitHub workflow runs, kept as a script
+# so it can be reproduced locally with ./scripts/ci.sh. The workflow
+# splits the stages over jobs (.github/workflows/ci.yml): release,
+# smoke, throughput, tracepack and cellcache run in one job; asan,
+# tsan and lto each run in a job of their own.
 #
 #   1. Release build + full test suite
 #   2. Observability smoke: --stats-json / --sample-interval /
-#      --trace-out output must parse and carry the expected keys
+#      --trace-out output must parse and carry the expected keys;
+#      unknown flags and out-of-range --jobs/--sampled-sets values
+#      must fail with a usage error
 #   3. Throughput smoke: a short policy sweep that prints Minst/s;
 #      the numbers are informational — the stage gates only on the
 #      bench exiting cleanly
-#   4. Time-parallel smoke: chunked single runs, trace replay and
-#      sweeps must be bit-identical across worker counts, carry the
-#      time_slicing provenance, and the validation bench must
-#      produce its error table end-to-end
-#   5. trace_pack smoke: pack a synthetic benchmark into an EMTC
+#   4. trace_pack smoke: pack a synthetic benchmark into an EMTC
 #      container, verify its CRCs, prove that verify *fails* on a
 #      flipped byte, import the committed ChampSim fixture, and run
 #      a 2x2 catalog sweep whose JSON must parse
-#   6. Service smoke: start the emissary_serve daemon, run a mixed
-#      synthetic + packed-trace catalog sweep twice (the second must
-#      be served >= 90% from the content-addressed result cache),
-#      validate every reply with json_check, prove malformed input
-#      comes back as a structured error, and check a clean SIGTERM
-#      shutdown
-#   7. AddressSanitizer build + full test suite
-#   8. ThreadSanitizer build + the "threaded" test label
+#   5. Cell-cache smoke: run one 2x2 emissary_sim sweep twice
+#      against the same --cache-dir; the second sweep must serve
+#      every cell from the cache with metrics equal to the first's
+#   6. AddressSanitizer build + full test suite
+#   7. ThreadSanitizer build + the "threaded" test label
 #
 # An optional "lto" stage rebuilds Release with EMISSARY_LTO=ON and
 # reruns the suite (the GitHub workflow runs it as its own job).
@@ -33,7 +31,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="${CI_JOBS:-$(nproc)}"
-STAGES="${*:-release smoke throughput timeparallel tracepack service asan tsan}"
+STAGES="${*:-release smoke throughput tracepack cellcache asan tsan}"
 
 run_stage() { echo; echo "=== ci: $* ==="; }
 
@@ -76,6 +74,18 @@ for stage in $STAGES; do
             2>/dev/null; then
             echo "unknown flag did not fail" >&2; exit 1
         fi
+        # Flags stored as 32-bit unsigned must reject larger values
+        # (exit 2, naming the flag) instead of silently wrapping.
+        for flag in "--sampled-sets 4294967304" "--jobs 4294967297"; do
+            rc=0
+            # shellcheck disable=SC2086
+            build-ci-release/tools/emissary_sim --benchmarks tomcat \
+                --policies TPLRU --instructions 1000 $flag \
+                >/dev/null 2>"$out/err.txt" || rc=$?
+            [ "$rc" -eq 2 ] && grep -q -- "${flag%% *}" "$out/err.txt" ||
+                { echo "$flag: expected exit 2 naming the flag" \
+                      "(rc=$rc)" >&2; exit 1; }
+        done
         rm -rf "$out"
         echo "smoke OK"
         ;;
@@ -152,75 +162,6 @@ stage append}"
         fi
         echo "throughput smoke OK"
         ;;
-    timeparallel)
-        run_stage "time-parallel chunked replay smoke"
-        sim=build-ci-release/tools/emissary_sim
-        [ -x "$sim" ] ||
-            { echo "run the release stage first" >&2; exit 1; }
-        out="$(mktemp -d)"
-        # Single chunked run: the stats JSON must carry the slicing
-        # knobs, and the printed metrics must be bit-identical at
-        # any worker count (the determinism contract).
-        "$sim" --benchmark tomcat --policy "EMISSARY" \
-            --instructions 400000 --time-chunks 4 --jobs 1 \
-            --stats-json "$out/tp1.json" >"$out/tp_j1.txt"
-        "$sim" --benchmark tomcat --policy "EMISSARY" \
-            --instructions 400000 --time-chunks 4 --jobs 4 \
-            --stats-json "$out/tp4.json" >"$out/tp_j4.txt"
-        build-ci-release/tools/json_check "$out/tp1.json" \
-            metrics.ipc config.time_chunks \
-            config.chunk_warmup_records
-        diff "$out/tp_j1.txt" "$out/tp_j4.txt" ||
-            { echo "chunked run differs across worker counts" >&2
-              exit 1; }
-        # Chunked trace replay: pack a container, chunk it, and
-        # check worker-count determinism there too.
-        build-ci-release/tools/trace_pack pack "$out/tomcat.emtc" \
-            --benchmark tomcat --records 500000 >/dev/null
-        "$sim" --trace "$out/tomcat.emtc" --policy "EMISSARY" \
-            --instructions 300000 --warmup 100000 \
-            --time-chunks 4 --jobs 1 \
-            --stats-json "$out/trace1.json" >"$out/trace_j1.txt"
-        "$sim" --trace "$out/tomcat.emtc" --policy "EMISSARY" \
-            --instructions 300000 --warmup 100000 \
-            --time-chunks 4 --jobs 4 >"$out/trace_j4.txt"
-        build-ci-release/tools/json_check "$out/trace1.json" \
-            metrics.ipc config.time_chunks workload.path
-        diff "$out/trace_j1.txt" "$out/trace_j4.txt" ||
-            { echo "chunked trace run differs across worker counts" \
-                >&2; exit 1; }
-        # Chunked sweep: the sweep JSON must carry the top-level
-        # time_parallel clause and per-cell execution provenance.
-        "$sim" --benchmarks tomcat,kafka --policies "TPLRU,EMISSARY" \
-            --instructions 200000 --time-chunks 2 --jobs 2 \
-            --stats-json "$out/sweep.json" >/dev/null
-        build-ci-release/tools/json_check "$out/sweep.json" \
-            time_parallel.time_chunks time_parallel.chunked_columns
-        grep -q '"execution": "time_parallel"' "$out/sweep.json" ||
-            { echo "sweep JSON lacks time_parallel provenance" >&2
-              exit 1; }
-        # --record needs one sequential pass and must refuse chunks.
-        if "$sim" --benchmark tomcat --record "$out/no.emtr" \
-            --instructions 100000 --time-chunks 2 2>/dev/null; then
-            echo "--time-chunks with --record did not fail" >&2
-            exit 1
-        fi
-        # Validation-bench subset: a small suite at a reduced window
-        # just proves the harness runs end-to-end; the committed
-        # error table (results/timeparallel_validation.txt) is
-        # regenerated at full scale on the baseline machine, so the
-        # error gate is informational here (CI hosts differ).
-        EMISSARY_BENCHMARKS=tomcat,kafka \
-        EMISSARY_BENCH_INSTRUCTIONS=1000000 \
-        EMISSARY_VALIDATION_OUT="$out/tp_validation.txt" \
-            build-ci-release/bench/bench_timeparallel_validation \
-            >"$out/tp_validation_stdout.txt" || true
-        grep -q 'L2I MPKI err max' "$out/tp_validation.txt" ||
-            { echo "validation bench wrote no error table" >&2
-              exit 1; }
-        rm -rf "$out"
-        echo "time-parallel smoke OK"
-        ;;
     tracepack)
         run_stage "trace_pack + catalog smoke"
         pack=build-ci-release/tools/trace_pack
@@ -262,75 +203,37 @@ EOF
         rm -rf "$out"
         echo "trace_pack smoke OK"
         ;;
-    service)
-        run_stage "sweep service smoke"
-        serve=build-ci-release/tools/emissary_serve
-        client=build-ci-release/tools/emissary_client
-        [ -x "$serve" ] && [ -x "$client" ] ||
+    cellcache)
+        run_stage "cell-cache smoke (cold vs warm --cache-dir sweep)"
+        sim=build-ci-release/tools/emissary_sim
+        [ -x "$sim" ] ||
             { echo "run the release stage first" >&2; exit 1; }
         out="$(mktemp -d)"
-        # A mixed catalog: one live synthetic workload plus a packed
-        # trace, swept under two policies.
-        build-ci-release/tools/trace_pack pack "$out/tomcat.emtc" \
-            --benchmark tomcat --records 100000 >/dev/null
-        cat >"$out/request.json" <<EOF
-{"schema": "emissary.request.v1", "op": "sweep", "id": "ci-sweep",
- "catalog": {"schema": "emissary.catalog.v1",
-   "workloads": [
-     {"name": "kafka", "synthetic": {"profile": "kafka"}},
-     {"name": "tomcat.packed",
-      "trace": {"path": "$out/tomcat.emtc"}}]},
- "policies": ["TPLRU", "EMISSARY"],
- "config": {"warmup_instructions": 50000,
-            "measure_instructions": 200000}}
-EOF
-        "$serve" --port 0 --port-file "$out/port" \
-            --cache-dir "$out/cache" >"$out/serve.log" &
-        serve_pid=$!
-        for _ in $(seq 100); do
-            [ -s "$out/port" ] && break
-            sleep 0.1
+        for pass in cold warm; do
+            "$sim" --benchmarks tomcat,kafka \
+                --policies "TPLRU,EMISSARY" --instructions 200000 \
+                --cache-dir "$out/cache" \
+                --stats-json "$out/$pass.json" >/dev/null
         done
-        [ -s "$out/port" ] ||
-            { echo "daemon did not start" >&2; exit 1; }
-        "$client" --port-file "$out/port" --ping >/dev/null
-        # Cold sweep: every cell simulated and stored.
-        "$client" --port-file "$out/port" \
-            --request "$out/request.json" >"$out/reply_cold.json"
-        build-ci-release/tools/json_check "$out/reply_cold.json" \
-            schema cache.misses sweep.runs \
-            sweep.provenance.git_sha
-        # Warm sweep: the same request must be served >= 90% from
-        # the content-addressed cache (here: 100%).
-        "$client" --port-file "$out/port" \
-            --request "$out/request.json" \
-            --min-cached-fraction 0.9 >"$out/reply_warm.json"
-        build-ci-release/tools/json_check "$out/reply_warm.json" \
-            schema cache.hits
-        # Malformed input: a structured emissary.error.v1 reply
-        # (client exit 2), daemon stays up.
-        printf 'not json' >"$out/bad.json"
-        rc=0
-        "$client" --port-file "$out/port" --request "$out/bad.json" \
-            --raw >"$out/reply_error.json" || rc=$?
-        [ "$rc" -eq 2 ] ||
-            { echo "malformed request not rejected (rc=$rc)" >&2
-              exit 1; }
-        build-ci-release/tools/json_check "$out/reply_error.json" \
-            schema field error
-        "$client" --port-file "$out/port" --stats >"$out/stats.json"
-        build-ci-release/tools/json_check "$out/stats.json" \
-            jobs_completed bad_requests queue_depth \
-            latency.p99_ms cache.hits
-        # Clean SIGTERM shutdown: in-flight work drained, exit 0.
-        kill -TERM "$serve_pid"
-        wait "$serve_pid" ||
-            { echo "daemon exited nonzero on SIGTERM" >&2; exit 1; }
-        grep -q "emissary_serve: stopped" "$out/serve.log" ||
-            { echo "daemon did not report a clean stop" >&2
-              exit 1; }
+        build-ci-release/tools/json_check "$out/warm.json" \
+            schema runs provenance.git_sha
+        # Every warm cell must be served from the cache, and its
+        # identity and metrics must equal the cold run's (timing
+        # fields differ by nature and are not compared).
+        python3 - "$out/cold.json" "$out/warm.json" <<'EOF'
+import json, sys
+cold, warm = (json.load(open(path)) for path in sys.argv[1:3])
+assert len(cold["runs"]) == len(warm["runs"]) == 4, "expected 4 cells"
+for c, w in zip(cold["runs"], warm["runs"]):
+    cell = c["benchmark"] + " / " + c["policy"]
+    assert c["execution"] == "sequential", cell + ": cold not simulated"
+    assert w["execution"] == "cached", cell + ": warm not cached"
+    for key in ("benchmark", "policy", "config", "metrics"):
+        assert c[key] == w[key], cell + ": " + key + " differs"
+print("cellcache: 4 warm cells cached, metrics identical")
+EOF
         rm -rf "$out"
-        echo "service smoke OK"
+        echo "cell-cache smoke OK"
         ;;
     lto)
         run_stage "Release + LTO build + tests"

@@ -55,8 +55,8 @@ struct BackendStats
 
     void reset() { *this = BackendStats{}; }
 
-    /** Component-wise sum — the time-parallel chunk splice
-     *  (core::runPolicyTimeParallel) adds window slices. */
+    /** Component-wise sum: adds the counters of another window
+     *  slice (see core::MetricsInputs). */
     BackendStats &
     operator+=(const BackendStats &other)
     {

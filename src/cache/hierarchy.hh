@@ -128,8 +128,8 @@ struct HierarchyStats
 
     void reset() { *this = HierarchyStats{}; }
 
-    /** Component-wise sum — the time-parallel chunk splice
-     *  (core::runPolicyTimeParallel) adds window slices. */
+    /** Component-wise sum: adds the counters of another window
+     *  slice (see core::MetricsInputs). */
     HierarchyStats &
     operator+=(const HierarchyStats &other)
     {
@@ -274,8 +274,8 @@ class Hierarchy
     const HierarchyStats &stats() const { return stats_; }
 
     /**
-     * Functional-warming mode (the warmup phase of every run, and a
-     * time-parallel chunk's overlapped warming prefix): accesses
+     * Functional-warming mode (the warmup phase of every run):
+     * accesses
      * evolve all cache, priority-bit and MSHR-starvation state
      * exactly as a counted run would — which is what makes warmed
      * windows bit-deterministic — while the stats counters

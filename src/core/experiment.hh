@@ -57,25 +57,6 @@ struct RunOptions
      * Measured error bounds: docs/performance.md.
      */
     unsigned sampledSets = 0;
-    /**
-     * Time-parallel mode: simulate the measurement window as this
-     * many contiguous chunks running concurrently on the shared
-     * ThreadPool, each non-first chunk preceded by a
-     * functional-warming prefix of chunkWarmupRecords records, then
-     * splice the per-chunk counters and cycle estimates into one
-     * result (runPolicyTimeParallel / runPolicyGroupTimeParallel).
-     * 0 or 1 = exact sequential simulation (the default). Results
-     * are deterministic for fixed (timeChunks, chunkWarmupRecords)
-     * at any worker count; measured error bounds:
-     * results/timeparallel_validation.txt, docs/performance.md.
-     */
-    unsigned timeChunks = 1;
-    /**
-     * Functional-warming prefix replayed before each non-first
-     * chunk's measure slice: caches, BTB and predictors warm over
-     * these records without counting. Ignored when timeChunks <= 1.
-     */
-    std::uint64_t chunkWarmupRecords = 250'000;
 };
 
 /**
@@ -224,85 +205,6 @@ runPolicyGroup(trace::TraceSource &source,
                const RunOptions &options,
                std::vector<stats::Registry> *registries = nullptr,
                RunTelemetry *telemetry = nullptr);
-
-class ThreadPool;
-
-/**
- * Factory producing an independent TraceSource positioned at
- * absolute record @p start_record of the workload's served stream —
- * the random-access contract time-parallel chunking needs. For EMTC
- * containers this is an O(1) block-index seek
- * (workload::PackedTraceSource::skipRecords); each call must return
- * a fresh source because chunks read concurrently.
- */
-using ChunkSourceFactory =
-    std::function<std::unique_ptr<trace::TraceSource>(
-        std::uint64_t start_record)>;
-
-/**
- * Time-parallel run (options.timeChunks = T > 1): the window's
- * record stream is split into T contiguous measure slices simulated
- * concurrently on @p pool, each non-first slice preceded by an
- * overlapped functional-warming prefix of
- * options.chunkWarmupRecords records (min'd against the records
- * available before the slice). Per-chunk hierarchy/backend/frontend
- * counters and window cycles are summed into one Metrics via
- * composeMetrics; the priority-bit distribution is the last chunk's
- * end state and the code footprint is the union of the chunks'
- * touched-line bitmaps.
- *
- * Approximation contract: chunk 0 reproduces the sequential run's
- * prefix exactly; later chunks start from warmed-but-not-identical
- * machine state, so counters carry a boundary error that shrinks
- * with warmup length (measured: results/timeparallel_validation.txt).
- * Results are bit-deterministic for fixed (T, W) at any worker
- * count and scheduling order — each chunk depends only on the
- * buffer contents and its own bounds, and splicing is by chunk
- * index. With timeChunks <= 1 this is exactly runPolicy.
- *
- * Safe to call from inside a pool job: the calling thread helps
- * execute queued chunks instead of blocking (ThreadPool::helpWhile).
- */
-Metrics runPolicyTimeParallel(
-    std::shared_ptr<const trace::RecordBuffer> buffer,
-    const replacement::PolicySpec &l2_spec,
-    const replacement::PolicySpec &l1i_spec,
-    const RunOptions &options, ThreadPool &pool,
-    RunInstrumentation *instrumentation = nullptr,
-    RunTelemetry *telemetry = nullptr);
-
-/** Chunk-source variant for workloads too large to buffer: every
- *  chunk opens its own source at its start record. */
-Metrics runPolicyTimeParallel(
-    const ChunkSourceFactory &chunk_source,
-    const replacement::PolicySpec &l2_spec,
-    const replacement::PolicySpec &l1i_spec,
-    const RunOptions &options, ThreadPool &pool,
-    RunInstrumentation *instrumentation = nullptr,
-    RunTelemetry *telemetry = nullptr);
-
-/**
- * Time-parallel fused pass: each chunk runs a full
- * runPolicyGroup-style lane bank over its slice, and the per-lane
- * counters / cycle estimates are spliced chunk-wise exactly like the
- * single-policy variant. Lane order matches @p l2_specs.
- */
-std::vector<Metrics> runPolicyGroupTimeParallel(
-    std::shared_ptr<const trace::RecordBuffer> buffer,
-    const std::vector<replacement::PolicySpec> &l2_specs,
-    const replacement::PolicySpec &l1i_spec,
-    const RunOptions &options, ThreadPool &pool,
-    std::vector<stats::Registry> *registries = nullptr,
-    RunTelemetry *telemetry = nullptr);
-
-/** Chunk-source variant of the time-parallel fused pass. */
-std::vector<Metrics> runPolicyGroupTimeParallel(
-    const ChunkSourceFactory &chunk_source,
-    const std::vector<replacement::PolicySpec> &l2_specs,
-    const replacement::PolicySpec &l1i_spec,
-    const RunOptions &options, ThreadPool &pool,
-    std::vector<stats::Registry> *registries = nullptr,
-    RunTelemetry *telemetry = nullptr);
 
 /**
  * Every RunOptions field as one canonical compact-JSON string, the

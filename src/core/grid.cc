@@ -95,9 +95,7 @@ sameRunKnobs(const RunOptions &a, const RunOptions &b)
            a.bypassLowPriorityInst == b.bypassLowPriorityInst &&
            a.priorityResetInstructions ==
                b.priorityResetInstructions &&
-           a.seed == b.seed && a.sampledSets == b.sampledSets &&
-           a.timeChunks == b.timeChunks &&
-           a.chunkWarmupRecords == b.chunkWarmupRecords;
+           a.seed == b.seed && a.sampledSets == b.sampledSets;
 }
 
 /** CRC-32 of a whole file, streamed in 64 KiB chunks — the content
@@ -216,21 +214,6 @@ cellCacheCanonical(const GridWorkload &workload, const RunSpec &run,
     identity.set("config",
                  JsonValue(canonicalRunOptions(run.options)));
 
-    // Chunked approximation, spelled out beyond the config string:
-    // a time-parallel splice must never be served to (or from) an
-    // exact-simulation request, so the slicing joins the identity
-    // explicitly (and is omitted — not zeroed — for sequential
-    // runs, mirroring canonicalRunOptions' normalisation).
-    if (run.options.timeChunks > 1) {
-        JsonValue slicing = JsonValue::object();
-        slicing.set("time_chunks",
-                    JsonValue(static_cast<std::uint64_t>(
-                        run.options.timeChunks)));
-        slicing.set("chunk_warmup_records",
-                    JsonValue(run.options.chunkWarmupRecords));
-        identity.set("time_slicing", std::move(slicing));
-    }
-
     if (timing_policy.empty()) {
         identity.set("role", JsonValue("exact"));
     } else {
@@ -268,8 +251,6 @@ cellExecutionName(CellExecution execution)
         return "fused_monitor_sampled";
       case CellExecution::Cached:
         return "cached";
-      case CellExecution::TimeParallel:
-        return "time_parallel";
     }
     return "unknown";
 }
@@ -386,13 +367,10 @@ GridResults::GridResults(std::size_t workloads, std::size_t runs)
 bool
 GridResults::anyFused() const
 {
-    // Time-parallel cells are chunked, not fused: the splice never
-    // runs monitor lanes unless the grid also fused the row.
     for (const auto &row : execution_)
         for (const CellExecution execution : row)
             if (execution != CellExecution::Sequential &&
-                execution != CellExecution::Cached &&
-                execution != CellExecution::TimeParallel)
+                execution != CellExecution::Cached)
                 return true;
     return false;
 }
@@ -744,28 +722,8 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                     std::vector<stats::Registry> lane_registries;
                     std::vector<stats::Registry> *const regs =
                         collect ? &lane_registries : nullptr;
-                    // Chunked rows splice the lane bank across time
-                    // chunks; a synthetic row past the replay budget
-                    // has no random-access stream, so it falls back
-                    // to the exact one-pass group.
-                    const bool chunked =
-                        group_options.timeChunks > 1 &&
-                        (buffers[w] || row.traceBacked());
                     std::vector<Metrics> metrics;
-                    if (chunked && buffers[w]) {
-                        metrics = runPolicyGroupTimeParallel(
-                            buffers[w], group_specs, l1i_specs[base],
-                            group_options, pool, regs, &telemetry);
-                    } else if (chunked) {
-                        const ChunkSourceFactory open_chunk =
-                            [&row](std::uint64_t start_record) {
-                                return openTraceSource(row,
-                                                       start_record);
-                            };
-                        metrics = runPolicyGroupTimeParallel(
-                            open_chunk, group_specs, l1i_specs[base],
-                            group_options, pool, regs, &telemetry);
-                    } else if (buffers[w]) {
+                    if (buffers[w]) {
                         metrics = runPolicyGroup(
                             buffers[w], group_specs, l1i_specs[base],
                             group_options, regs, &telemetry);
@@ -819,13 +777,9 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                         results.timing_.runSeconds[w][r] = share;
                         results.timing_.phaseSeconds[w][r] =
                             phase_share;
-                        // A chunked timing lane is a splice, not an
-                        // exact run — its provenance must say so.
                         results.execution_[w][r] =
                             lane == 0
-                                ? (chunked
-                                       ? CellExecution::TimeParallel
-                                       : CellExecution::FusedTiming)
+                                ? CellExecution::FusedTiming
                                 : (options.sampledSets > 1
                                        ? CellExecution::
                                              FusedMonitorSampled
@@ -885,30 +839,8 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                 RunInstrumentation instrumentation;
                 RunInstrumentation *const instr =
                     collect ? &instrumentation : nullptr;
-                // Chunked cells splice their window across time
-                // chunks (runPolicyTimeParallel); synthetic rows
-                // past the replay budget lack a random-access
-                // stream and stay sequential.
-                const bool chunked =
-                    grid.runs[r].options.timeChunks > 1 &&
-                    (buffers[w] || row.traceBacked());
                 Metrics metrics;
-                if (chunked && buffers[w]) {
-                    metrics = runPolicyTimeParallel(
-                        buffers[w], l2_specs[r], l1i_specs[r],
-                        grid.runs[r].options, pool, instr,
-                        &telemetry);
-                } else if (chunked) {
-                    const ChunkSourceFactory open_chunk =
-                        [&row](std::uint64_t start_record) {
-                            return openTraceSource(row,
-                                                   start_record);
-                        };
-                    metrics = runPolicyTimeParallel(
-                        open_chunk, l2_specs[r], l1i_specs[r],
-                        grid.runs[r].options, pool, instr,
-                        &telemetry);
-                } else if (buffers[w]) {
+                if (buffers[w]) {
                     metrics = runPolicy(buffers[w], l2_specs[r],
                                         l1i_specs[r],
                                         grid.runs[r].options, instr,
@@ -928,9 +860,6 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                                         grid.runs[r].options, instr,
                                         &telemetry);
                 }
-                if (chunked)
-                    results.execution_[w][r] =
-                        CellExecution::TimeParallel;
                 // Normalise what the source reports: the grid row's
                 // name wins over the source's self-description, and
                 // trace-backed cells take the container's pack-time
@@ -1031,33 +960,6 @@ sweepJson(const PolicyGrid &grid, const GridResults &results)
                             grid.runs.size())));
     doc.set("mode", JsonValue(results.anyFused() ? "fused"
                                                  : "sequential"));
-
-    // Splice provenance: readers of the sweep must see at the top
-    // level that (some) cells carry the chunked approximation, not
-    // exact end-to-end simulation. Per-cell detail sits in each
-    // run's "execution" and "config".
-    {
-        std::uint64_t chunked_columns = 0;
-        std::uint64_t max_chunks = 1;
-        std::uint64_t warmup_records = 0;
-        for (const RunSpec &spec : grid.runs) {
-            if (spec.options.timeChunks <= 1)
-                continue;
-            ++chunked_columns;
-            max_chunks = std::max<std::uint64_t>(
-                max_chunks, spec.options.timeChunks);
-            warmup_records = std::max(warmup_records,
-                                      spec.options.chunkWarmupRecords);
-        }
-        if (chunked_columns > 0) {
-            JsonValue tp = JsonValue::object();
-            tp.set("chunked_columns", JsonValue(chunked_columns));
-            tp.set("time_chunks", JsonValue(max_chunks));
-            tp.set("chunk_warmup_records",
-                   JsonValue(warmup_records));
-            doc.set("time_parallel", std::move(tp));
-        }
-    }
 
     JsonValue runs = JsonValue::array();
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {

@@ -129,8 +129,7 @@ struct PolicyGrid
 
 /** One memoizable grid-cell result: the cell's Metrics plus its
  *  end-of-window counter registry as flat JSON (the registryJson
- *  shape), which is what a cached service response must reproduce
- *  bit-identically. */
+ *  shape), which a cache hit must reproduce bit-identically. */
 struct CellCacheEntry
 {
     Metrics metrics;
@@ -240,8 +239,6 @@ enum class CellExecution : std::uint8_t
     FusedMonitor,        ///< Full-size monitor lane.
     FusedMonitorSampled, ///< Sampled-set monitor lane.
     Cached,              ///< Served from the cell result cache.
-    TimeParallel,        ///< Chunked time-parallel splice
-                         ///< (core::runPolicyTimeParallel).
 };
 
 /** The execution mode's name as stored in the sweep JSON. */

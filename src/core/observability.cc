@@ -42,11 +42,6 @@ runOptionsJson(const RunOptions &options)
     config.set("sampled_sets",
                JsonValue(static_cast<std::uint64_t>(
                    options.sampledSets)));
-    config.set("time_chunks",
-               JsonValue(static_cast<std::uint64_t>(
-                   options.timeChunks)));
-    config.set("chunk_warmup_records",
-               JsonValue(options.chunkWarmupRecords));
     return config;
 }
 

@@ -11,7 +11,7 @@
  * is pure cursor arithmetic), so independent tasks can decode
  * disjoint record spans of the same file into disjoint slots of a
  * preallocated buffer, bit-identically to the streaming build
- * (tests/test_timeparallel.cpp).
+ * (tests/test_replay.cpp).
  */
 
 #ifndef EMISSARY_CORE_REPLAY_BUILD_HH
@@ -35,8 +35,8 @@ bool isPackedTracePath(const std::string &path);
  * Fresh streaming source over @p workload's trace, positioned at its
  * configured skip offset plus @p extra_skip records — the grid
  * engine's uniform open for EMTC and raw EMTR files, and the
- * random-access primitive behind both the parallel decode and
- * time-parallel chunking (core::ChunkSourceFactory).
+ * random-access primitive behind the parallel decode and the replay
+ * buffer's overrun tail.
  */
 std::unique_ptr<trace::TraceSource>
 openTraceSource(const GridWorkload &workload,

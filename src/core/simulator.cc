@@ -278,8 +278,8 @@ Simulator::run()
     // Warm-up phase in functional-warming mode: every cache,
     // predictor and priority-bit structure evolves exactly as a
     // counted run would, and leaving the mode discards the counters
-    // it accumulated — so a chunk warmed over W records starts its
-    // measure slice with clean counters over warmed state.
+    // it accumulated — so the measurement window starts with clean
+    // counters over warmed state.
     hierarchy_.setWarming(true);
     frontend_.setWarming(true);
     while (committed() < warmup) {

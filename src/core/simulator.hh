@@ -29,12 +29,11 @@ namespace emissary::core
 {
 
 /**
- * Raw inputs from which one run's (or one lane's, or one spliced
- * time-parallel run's) Metrics are composed. Every derived number in
- * Metrics is a pure function of these fields, so summing the stats
- * structs and cycle counts of N window slices and composing once
- * yields the exact whole-window derivation — the splice rule of the
- * time-parallel engine (core::runPolicyTimeParallel).
+ * Raw inputs from which one run's (or one lane's) Metrics are
+ * composed. Every derived number in Metrics is a pure function of
+ * these fields, so summing the stats structs and cycle counts of N
+ * window slices and composing once yields the exact whole-window
+ * derivation.
  */
 struct MetricsInputs
 {
@@ -133,8 +132,8 @@ class Simulator
     std::uint64_t now() const { return now_; }
     std::uint64_t committed() const;
 
-    /** Cycles of the last completed measurement window (the chunk
-     *  splicer and lane collection build on this). */
+    /** Cycles of the last completed measurement window (lane
+     *  collection builds on this). */
     std::uint64_t lastWindowCycles() const
     {
         return lastWindowCycles_;

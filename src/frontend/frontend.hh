@@ -54,8 +54,8 @@ struct FrontEndStats
 
     void reset() { *this = FrontEndStats{}; }
 
-    /** Component-wise sum — the time-parallel chunk splice
-     *  (core::runPolicyTimeParallel) adds window slices. */
+    /** Component-wise sum: adds the counters of another window
+     *  slice (see core::MetricsInputs). */
     FrontEndStats &
     operator+=(const FrontEndStats &other)
     {

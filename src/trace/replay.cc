@@ -107,18 +107,6 @@ ReplayCursor::ReplayCursor(std::shared_ptr<const RecordBuffer> buffer)
 {
 }
 
-ReplayCursor::ReplayCursor(std::shared_ptr<const RecordBuffer> buffer,
-                           std::uint64_t start_record)
-    : buffer_(std::move(buffer)),
-      pos_(start_record),
-      touchedBitmap_(buffer_->codeBitmapWords(), 0)
-{
-    if (start_record > buffer_->size())
-        throw std::out_of_range(
-            "ReplayCursor: start record past the buffer (" +
-            buffer_->name() + ")");
-}
-
 const char *
 ReplayCursor::name() const
 {

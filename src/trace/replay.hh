@@ -100,7 +100,7 @@ class RecordBuffer
     /**
      * Preallocated trace-backed buffer of @p records zeroed slots,
      * to be populated by writeRange — the parallel EMTC decode path
-     * (core::buildTraceReplayParallel) fills disjoint spans from
+     * (core::buildTraceReplay) fills disjoint spans from
      * several workers at once. The buffer must be fully written
      * before any cursor replays it; no footprint bitmap is kept,
      * exactly like the streaming trace constructor.
@@ -187,17 +187,6 @@ class ReplayCursor final : public TraceSource
   public:
     explicit ReplayCursor(std::shared_ptr<const RecordBuffer> buffer);
 
-    /**
-     * Chunk-addressed cursor: start replaying at absolute record
-     * @p start_record instead of 0 — a time-parallel chunk's warming
-     * prefix or measure slice begins mid-stream. Footprint counting
-     * covers only records the cursor actually serves; the chunk
-     * splicer ORs the per-chunk touchedBitmap()s to recover the
-     * whole-window census.
-     */
-    ReplayCursor(std::shared_ptr<const RecordBuffer> buffer,
-                 std::uint64_t start_record);
-
     TraceRecord next() override;
     void fill(TraceRecord *out, std::size_t n) override;
     const char *name() const override;
@@ -214,15 +203,6 @@ class ReplayCursor final : public TraceSource
      *  tail continuation (diagnostic; should not happen when the
      *  buffer was sized with recordsForWindow). */
     bool overran() const { return tailSource_ != nullptr; }
-
-    /** The unique-code-line bitmap behind uniqueCodeLines() (empty
-     *  for trace-backed buffers). Word i bit b covers code line
-     *  i*64+b; the time-parallel splice ORs chunk bitmaps. */
-    const std::vector<std::uint64_t> &
-    touchedBitmap() const
-    {
-        return touchedBitmap_;
-    }
 
   private:
     void touchCode(std::uint64_t pc);

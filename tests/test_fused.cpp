@@ -325,43 +325,6 @@ TEST(FusedGrid, MatchesSequentialTimingAndIsWorkerCountInvariant)
     EXPECT_NE(doc.find("runs")->at(0).find("execution"), nullptr);
 }
 
-TEST(FusedGrid, ChunkedFusedRowsAreDeterministicAndTagged)
-{
-    // A fused row whose runs ask for time chunking runs the whole
-    // lane bank chunk-wise (core::runPolicyGroupTimeParallel): the
-    // timing lane is tagged as the time-parallel approximation, the
-    // monitors keep their fused tags, and — like every chunked
-    // splice — no cell may move with the grid's worker count.
-    RunOptions options = smallWindow();
-    options.timeChunks = 3;
-    options.chunkWarmupRecords = 10'000;
-    const core::PolicyGrid grid = core::PolicyGrid::sweep(
-        std::vector<trace::WorkloadProfile>{
-            trace::profileByName("tomcat")},
-        {"TPLRU", "P(8):S&E&R(1/32)", "M:R(1/2)"}, options);
-
-    GridOptions fused_options;
-    fused_options.fused = true;
-
-    core::ThreadPool one(1);
-    core::ThreadPool three(3);
-    const core::GridResults narrow =
-        core::runGrid(grid, one, fused_options);
-    const core::GridResults wide =
-        core::runGrid(grid, three, fused_options);
-
-    EXPECT_EQ(narrow.executionAt(0, 0),
-              CellExecution::TimeParallel);
-    EXPECT_EQ(narrow.executionAt(0, 1),
-              CellExecution::FusedMonitor);
-    EXPECT_EQ(narrow.executionAt(0, 2),
-              CellExecution::FusedMonitor);
-    for (std::size_t r = 0; r < grid.runs.size(); ++r) {
-        expectMetricsIdentical(narrow.at(0, r), wide.at(0, r));
-        EXPECT_EQ(narrow.executionAt(0, r), wide.executionAt(0, r));
-    }
-}
-
 TEST(FusedGrid, SampledGridLabelsMonitorCells)
 {
     const RunOptions options = smallWindow();

@@ -8,6 +8,9 @@
  * to a live run. The grid engine's replay path is checked against a
  * budget-disabled live grid the same way.
  *
+ * buildTraceReplay's parallel EMTC span decode must produce a buffer
+ * bit-identical to the serial streaming pack.
+ *
  * The per-workload equivalence test runs a fast subset by default;
  * set EMISSARY_REPLAY_FULL=1 (the test_replay_full ctest entry) to
  * sweep every workload in trace::datacenterSuite().
@@ -15,17 +18,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "core/grid.hh"
+#include "core/replay_build.hh"
 #include "core/threadpool.hh"
 #include "trace/executor.hh"
 #include "trace/profile.hh"
 #include "trace/program.hh"
 #include "trace/replay.hh"
+#include "workload/emtc.hh"
 
 namespace emissary
 {
@@ -239,6 +247,54 @@ TEST(ReplayRun, GridReplayMatchesBudgetDisabledLiveGrid)
     // Both report the same committed work in the Minst/s aggregate.
     EXPECT_EQ(live.totalInstructions(), replayed.totalInstructions());
     EXPECT_GT(replayed.instructionsPerSecond(), 0.0);
+}
+
+TEST(ParallelDecode, BitIdenticalToSerialStreamingPack)
+{
+    // Enough records to clear the parallel path's minimum task size
+    // (2 * kMinTaskRecords) with several spans.
+    const std::uint64_t records = 700'000;
+    const std::string path = std::string(::testing::TempDir()) +
+                             "/emissary_parallel_decode.emtc";
+    {
+        const trace::SyntheticProgram program(
+            trace::profileByName("kafka"));
+        trace::SyntheticExecutor executor(program);
+        workload::PackedTraceWriter writer(path, "kafka-trace");
+        std::vector<trace::TraceRecord> chunk(4096);
+        for (std::uint64_t done = 0; done < records;) {
+            const std::size_t n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(chunk.size(),
+                                        records - done));
+            executor.fill(chunk.data(), n);
+            writer.append(chunk.data(), n);
+            done += n;
+        }
+        writer.finish();
+    }
+
+    const core::GridWorkload row("kafka-trace", path);
+    core::ThreadPool one(1);
+    core::ThreadPool four(4);
+    // workerCount 1 takes the serial streaming constructor; 4 takes
+    // the preallocate-and-span-fill path. Same bytes either way.
+    const auto serial = core::buildTraceReplay(row, records, one);
+    const auto parallel = core::buildTraceReplay(row, records, four);
+
+    ASSERT_EQ(serial->size(), records);
+    ASSERT_EQ(parallel->size(), records);
+    EXPECT_EQ(serial->name(), parallel->name());
+    for (std::uint64_t i = 0; i < records; ++i) {
+        const trace::TraceRecord a = serial->record(i);
+        const trace::TraceRecord b = parallel->record(i);
+        ASSERT_EQ(a.pc, b.pc) << "record " << i;
+        ASSERT_EQ(a.nextPc, b.nextPc) << "record " << i;
+        ASSERT_EQ(a.memAddr, b.memAddr) << "record " << i;
+        ASSERT_EQ(a.cls, b.cls) << "record " << i;
+        ASSERT_EQ(a.taken, b.taken) << "record " << i;
+    }
+
+    std::remove(path.c_str());
 }
 
 } // namespace

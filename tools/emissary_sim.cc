@@ -17,12 +17,19 @@
  *   emissary_sim --benchmarks tomcat,kafka \
  *                --policies "TPLRU,P(8):S&E,P(8):S&E&R(1/32)" \
  *                --jobs 8
+ *
+ * With --cache-dir, a sweep memoizes every cell in a content-
+ * addressed on-disk store, so a re-run (or an extended sweep)
+ * simulates only the cells it has not seen:
+ *   emissary_sim --benchmarks tomcat,kafka --policies TPLRU,EMISSARY \
+ *                --cache-dir sweep-cache
  */
 
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,7 +43,7 @@
 #include "core/experiment.hh"
 #include "core/grid.hh"
 #include "core/observability.hh"
-#include "core/replay_build.hh"
+#include "core/result_cache.hh"
 #include "core/simulator.hh"
 #include "core/threadpool.hh"
 #include "stats/chrome_trace.hh"
@@ -77,6 +84,20 @@ parseU64(const std::string &flag, const char *text)
     return parsed;
 }
 
+/** parseU64 for flags stored as unsigned: a value past UINT_MAX is
+ *  a usage error, not a silent wrap. */
+unsigned
+parseUnsigned(const std::string &flag, const char *text)
+{
+    const std::uint64_t parsed = parseU64(flag, text);
+    if (parsed > UINT_MAX) {
+        std::fprintf(stderr, "%s: value %s exceeds the maximum %u\n",
+                     flag.c_str(), text, UINT_MAX);
+        std::exit(2);
+    }
+    return static_cast<unsigned>(parsed);
+}
+
 void
 usage(const char *argv0)
 {
@@ -107,13 +128,10 @@ usage(const char *argv0)
         "                       docs/performance.md)\n"
         "  --sampled-sets K     sampling factor for --fast-mode\n"
         "                       (power of two; implies --fused)\n"
-        "  --time-chunks T      simulate the window as T chunks in\n"
-        "                       parallel with overlapped warming\n"
-        "                       (approximate; error bounds in\n"
-        "                       docs/performance.md; sampling and\n"
-        "                       event traces are disabled)\n"
-        "  --warmup-records W   per-chunk warming prefix for\n"
-        "                       --time-chunks (default 250000)\n"
+        "  --cache-dir DIR      sweep: memoize cells in a content-\n"
+        "                       addressed on-disk store; re-runs\n"
+        "                       serve known cells from it\n"
+        "                       (docs/performance.md)\n"
         "  --l1i-policy SPEC    L1I policy (ablation; default "
         "TPLRU)\n"
         "  --instructions N     measured window (default 1500000)\n"
@@ -287,13 +305,11 @@ main(int argc, char **argv)
     std::uint64_t instructions = 1'500'000;
     std::uint64_t warmup = 0;
     std::uint64_t reset = 0;
-    std::uint64_t jobs = 0;
+    unsigned jobs = 0;
     bool fused = false;
     bool fast_mode = false;
-    std::uint64_t sampled_sets = 0;
-    std::uint64_t time_chunks = 0;
-    std::uint64_t chunk_warmup_records = 0;
-    bool warmup_records_set = false;
+    unsigned sampled_sets = 0;
+    std::string cache_dir;
     bool csv = false;
     bool progress = false;
     std::string stats_json_path;
@@ -331,18 +347,15 @@ main(int argc, char **argv)
         } else if (arg == "--policies") {
             policies_csv = value();
         } else if (arg == "--jobs") {
-            jobs = parseU64(arg, value());
+            jobs = parseUnsigned(arg, value());
         } else if (arg == "--fused") {
             fused = true;
         } else if (arg == "--fast-mode") {
             fast_mode = true;
         } else if (arg == "--sampled-sets") {
-            sampled_sets = parseU64(arg, value());
-        } else if (arg == "--time-chunks") {
-            time_chunks = parseU64(arg, value());
-        } else if (arg == "--warmup-records") {
-            chunk_warmup_records = parseU64(arg, value());
-            warmup_records_set = true;
+            sampled_sets = parseUnsigned(arg, value());
+        } else if (arg == "--cache-dir") {
+            cache_dir = value();
         } else if (arg == "--l1i-policy") {
             machine_options.l1iPolicy = value();
         } else if (arg == "--instructions") {
@@ -404,11 +417,6 @@ main(int argc, char **argv)
             machine_options.bypassLowPriorityInst;
         run_options.priorityResetInstructions = reset;
         run_options.seed = machine_options.seed;
-        if (time_chunks > 0)
-            run_options.timeChunks =
-                static_cast<unsigned>(time_chunks);
-        if (warmup_records_set)
-            run_options.chunkWarmupRecords = chunk_warmup_records;
 
         // Observability attachments (single-run paths). Categories
         // are validated up front so a typo is a usage error, not a
@@ -479,7 +487,7 @@ main(int argc, char **argv)
 
             const core::PolicyGrid grid = core::PolicyGrid::sweep(
                 workloads, policies, run_options);
-            core::ThreadPool pool(static_cast<unsigned>(jobs));
+            core::ThreadPool pool(jobs);
 
             std::unique_ptr<stats::SpanRecorder> flight;
             if (!perf_trace_path.empty())
@@ -500,9 +508,14 @@ main(int argc, char **argv)
             core::GridOptions grid_options;
             grid_options.fused =
                 fused || fast_mode || sampled_sets > 1;
-            grid_options.sampledSets = static_cast<unsigned>(
-                sampled_sets > 0 ? sampled_sets
-                                 : (fast_mode ? 8 : 0));
+            grid_options.sampledSets =
+                sampled_sets > 0 ? sampled_sets : (fast_mode ? 8 : 0);
+            std::unique_ptr<core::ResultCache> cell_cache;
+            if (!cache_dir.empty()) {
+                cell_cache =
+                    std::make_unique<core::ResultCache>(cache_dir);
+                grid_options.cellCache = cell_cache.get();
+            }
             const core::GridResults results = core::runGrid(
                 grid, pool, grid_options, on_cell, flight.get());
             if (flight)
@@ -538,11 +551,28 @@ main(int argc, char **argv)
                     results.timingTable(workloads)
                         .render()
                         .c_str());
+                if (cell_cache) {
+                    const core::ResultCache::Snapshot cache =
+                        cell_cache->snapshot();
+                    std::printf(
+                        "cell cache (%s): %llu hits, %llu misses\n",
+                        cache_dir.c_str(),
+                        static_cast<unsigned long long>(cache.hits),
+                        static_cast<unsigned long long>(
+                            cache.misses));
+                }
             }
             if (!stats_json_path.empty())
                 writeJsonOut(stats_json_path,
                              core::sweepJson(grid, results));
             return 0;
+        }
+
+        if (!cache_dir.empty()) {
+            std::fprintf(stderr, "--cache-dir applies to sweeps "
+                                 "(--benchmarks/--policies/--catalog), "
+                                 "not single runs\n");
+            return 2;
         }
 
         // Single synthetic run with no recording: one instrumented
@@ -571,40 +601,13 @@ main(int argc, char **argv)
                                        machine_options.l2Policy));
                 core::RunTelemetry telemetry;
                 telemetry.spans = flight.get();
-                if (run_options.timeChunks > 1) {
-                    // Chunked run: pack the stream once, then let
-                    // the pool splice the window. Interval sampling
-                    // and event traces are per-cycle observations of
-                    // one sequential machine and stay disabled here.
-                    if (instr.sampleInterval > 0 || instr.traceSink)
-                        std::fprintf(stderr,
-                                     "note: --sample-interval/"
-                                     "--trace-out are ignored with "
-                                     "--time-chunks\n");
-                    auto buffer = std::make_shared<
-                        const trace::RecordBuffer>(
-                        program,
-                        trace::RecordBuffer::recordsForWindow(
-                            run_options.warmupInstructions +
-                            run_options.measureInstructions));
-                    core::ThreadPool pool(
-                        static_cast<unsigned>(jobs));
-                    m = core::runPolicyTimeParallel(
-                        std::move(buffer),
-                        replacement::PolicySpec::parse(
-                            machine_options.l2Policy),
-                        replacement::PolicySpec::parse(
-                            run_options.l1iPolicy),
-                        run_options, pool, &instr, &telemetry);
-                } else {
-                    m = core::runPolicy(
-                        program,
-                        replacement::PolicySpec::parse(
-                            machine_options.l2Policy),
-                        replacement::PolicySpec::parse(
-                            run_options.l1iPolicy),
-                        run_options, &instr, &telemetry);
-                }
+                m = core::runPolicy(
+                    program,
+                    replacement::PolicySpec::parse(
+                        machine_options.l2Policy),
+                    replacement::PolicySpec::parse(
+                        run_options.l1iPolicy),
+                    run_options, &instr, &telemetry);
             }
             if (flight)
                 stats::ChromeTraceWriter::write(perf_trace_path,
@@ -618,88 +621,6 @@ main(int argc, char **argv)
                     stats_json_path,
                     runJson(m, run_options, instr.registry,
                             instr.sampler, instr.wallSeconds));
-            return 0;
-        }
-
-        // Chunked trace replay: every chunk opens its own cursor
-        // into the container (O(1) block-index seek for .emtc), so
-        // the direct stateful-source path below is bypassed.
-        if (run_options.timeChunks > 1) {
-            if (!record_path.empty()) {
-                std::fprintf(stderr,
-                             "error: --time-chunks cannot be "
-                             "combined with --record (recording "
-                             "needs one sequential pass)\n");
-                return 2;
-            }
-            if (sample_interval > 0 || !trace_out_path.empty())
-                std::fprintf(stderr,
-                             "note: --sample-interval/--trace-out "
-                             "are ignored with --time-chunks\n");
-            const core::GridWorkload row(benchmark, trace_path);
-            const core::ChunkSourceFactory open_chunk =
-                [&row](std::uint64_t start_record) {
-                    return core::openTraceSource(row, start_record);
-                };
-            core::RunInstrumentation instr;
-            std::unique_ptr<stats::SpanRecorder> flight;
-            if (!perf_trace_path.empty()) {
-                flight = std::make_unique<stats::SpanRecorder>();
-                flight->labelThread("main");
-            }
-            core::Metrics m;
-            {
-                stats::ScopedTimer span(flight.get(), "run");
-                span.arg("policy", stats::JsonValue(
-                                       machine_options.l2Policy));
-                core::RunTelemetry telemetry;
-                telemetry.spans = flight.get();
-                core::ThreadPool pool(static_cast<unsigned>(jobs));
-                m = core::runPolicyTimeParallel(
-                    open_chunk,
-                    replacement::PolicySpec::parse(
-                        machine_options.l2Policy),
-                    replacement::PolicySpec::parse(
-                        run_options.l1iPolicy),
-                    run_options, pool, &instr, &telemetry);
-            }
-            if (flight)
-                stats::ChromeTraceWriter::write(perf_trace_path,
-                                                *flight);
-            const bool packed =
-                core::isPackedTracePath(trace_path);
-            if (packed)
-                // The container's pack-time census, as in the
-                // sequential replay path: chunk cursors cannot
-                // count a whole-trace footprint themselves.
-                m.codeFootprintLines =
-                    workload::readTraceInfo(trace_path)
-                        .uniqueCodeLines;
-            if (stats_json_path != "-")
-                printMetrics(m, csv);
-            if (!stats_json_path.empty()) {
-                stats::JsonValue doc =
-                    runJson(m, run_options, instr.registry,
-                            stats::Sampler(), instr.wallSeconds);
-                stats::JsonValue provenance =
-                    stats::JsonValue::object();
-                provenance.set("type", stats::JsonValue("trace"));
-                provenance.set("path", stats::JsonValue(trace_path));
-                if (packed) {
-                    const workload::TraceInfo info =
-                        workload::readTraceInfo(trace_path);
-                    provenance.set("file_bytes",
-                                   stats::JsonValue(info.fileBytes));
-                    provenance.set(
-                        "unique_code_lines",
-                        stats::JsonValue(info.uniqueCodeLines));
-                    provenance.set(
-                        "compression_ratio",
-                        stats::JsonValue(info.compressionRatio()));
-                }
-                doc.set("workload", std::move(provenance));
-                writeJsonOut(stats_json_path, doc);
-            }
             return 0;
         }
 
