@@ -61,7 +61,7 @@ banner(const char *experiment, const char *paper_ref,
 
 /**
  * Grid scheduling from the environment: EMISSARY_FUSED=1 runs each
- * workload's policies as one fused trace pass (core::runPolicyGroup);
+ * workload's policies as one multi-lane trace pass (core::execute);
  * EMISSARY_SAMPLED_SETS=K additionally samples the monitor lanes
  * 1-in-K (fast mode, implies fused). Unset = the sequential engine,
  * exactly as before.
@@ -144,15 +144,6 @@ runGridRecorded(const char *bench_name, const core::PolicyGrid &grid,
 }
 
 /** Print the sweep's wall-clock accounting (tracked in results/). */
-inline void
-reportSweepTiming(const core::GridResults &results,
-                  const std::vector<trace::WorkloadProfile> &workloads)
-{
-    std::printf("sweep wall-clock:\n%s\n",
-                results.timingTable(workloads).render().c_str());
-}
-
-/** Grid-row overload for harnesses sweeping mixed workload lists. */
 inline void
 reportSweepTiming(const core::GridResults &results,
                   const std::vector<core::GridWorkload> &workloads)

@@ -86,7 +86,7 @@ main()
                     table.render().c_str());
         std::fflush(stdout);
     }
-    bench::reportSweepTiming(results, workloads);
+    bench::reportSweepTiming(results, grid.workloads);
     bench::writeSweepArtifact("fig5_policy_sweep", grid, results);
     std::printf(
         "paper shape: for benchmarks with L2I MPKI > 1, speedup rises\n"

@@ -80,7 +80,7 @@ main()
                 speed_table.render().c_str());
     std::printf("Energy reduction (%%) vs TPLRU + FDIP baseline:\n%s\n",
                 energy_table.render().c_str());
-    bench::reportSweepTiming(results, workloads);
+    bench::reportSweepTiming(results, grid.workloads);
     bench::writeSweepArtifact("fig7_policy_comparison", grid, results);
     std::printf(
         "paper shape: EMISSARY P(8) variants lead; M:0 and the\n"

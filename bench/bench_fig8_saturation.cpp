@@ -64,7 +64,7 @@ main()
         std::printf("%-18s saturated (>=8) sets: %5.1f%%\n",
                     policies[p].c_str(),
                     100.0 * saturated[p] / n_benchmarks);
-    bench::reportSweepTiming(results, workloads);
+    bench::reportSweepTiming(results, grid.workloads);
     bench::writeSweepArtifact("fig8_saturation", grid, results);
     std::printf(
         "\npaper shape: plain P(8):S&E saturates most sets on the\n"

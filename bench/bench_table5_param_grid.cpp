@@ -110,7 +110,7 @@ main()
     table.addRow(best_row);
 
     std::printf("\n%s\n", table.render().c_str());
-    bench::reportSweepTiming(results, benchmarks);
+    bench::reportSweepTiming(results, policy_grid.workloads);
     bench::writeSweepArtifact("table5_param_grid", policy_grid,
                               results);
     std::printf(

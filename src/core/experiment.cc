@@ -18,47 +18,19 @@
 namespace emissary::core
 {
 
-Metrics
-runPolicy(const trace::SyntheticProgram &program,
-          const std::string &l2_policy, const RunOptions &options)
+std::vector<Metrics>
+execute(trace::TraceSource &source, const RunPlan &plan,
+        RunObservers *observers)
 {
-    return runPolicy(program,
-                     replacement::PolicySpec::parse(l2_policy),
-                     replacement::PolicySpec::parse(options.l1iPolicy),
-                     options);
-}
+    if (plan.l2Specs.empty())
+        throw std::invalid_argument("execute: no policy lanes");
+    const RunOptions &options = plan.options;
 
-Metrics
-runPolicy(const trace::SyntheticProgram &program,
-          const replacement::PolicySpec &l2_spec,
-          const replacement::PolicySpec &l1i_spec,
-          const RunOptions &options)
-{
-    return runPolicy(program, l2_spec, l1i_spec, options, nullptr);
-}
-
-namespace
-{
-
-/**
- * Shared body of the live and replay overloads: configure the
- * machine, run the simulator over @p source, and harvest
- * instrumentation. codeFootprintLines is filled by the caller —
- * it comes from the executor (live) or the cursor (replay).
- */
-Metrics
-runOverSource(trace::TraceSource &source,
-              const replacement::PolicySpec &l2_spec,
-              const replacement::PolicySpec &l1i_spec,
-              const RunOptions &options,
-              RunInstrumentation *instrumentation,
-              RunTelemetry *telemetry)
-{
     MachineOptions machine_options;
-    machine_options.l2Spec = l2_spec;
-    machine_options.l1iSpec = l1i_spec;
-    machine_options.l2Policy = l2_spec.toString();
-    machine_options.l1iPolicy = l1i_spec.toString();
+    machine_options.l2Spec = plan.l2Specs.front();
+    machine_options.l1iSpec = plan.l1iSpec;
+    machine_options.l2Policy = plan.l2Specs.front().toString();
+    machine_options.l1iPolicy = plan.l1iSpec.toString();
     machine_options.emissaryTreePlru = options.emissaryTreePlru;
     machine_options.bypassLowPriorityInst =
         options.bypassLowPriorityInst;
@@ -73,244 +45,88 @@ runOverSource(trace::TraceSource &source,
     sim_config.measureInstructions = options.measureInstructions;
     sim_config.priorityResetInstructions =
         options.priorityResetInstructions;
-    if (instrumentation)
-        sim_config.sampleInterval = instrumentation->sampleInterval;
+    if (observers)
+        sim_config.sampleInterval = observers->sampleInterval;
+
+    // Monitor lanes for every spec past the first. The option knob
+    // alderlakeConfig applies to the timing spec must reach them the
+    // same way.
+    const std::size_t monitors = plan.l2Specs.size() - 1;
+    std::unique_ptr<cache::PolicyLaneBank> bank;
+    if (monitors > 0) {
+        std::vector<replacement::PolicySpec> monitor_specs(
+            plan.l2Specs.begin() + 1, plan.l2Specs.end());
+        for (replacement::PolicySpec &spec : monitor_specs)
+            spec.emissaryTreePlru = options.emissaryTreePlru;
+        bank = std::make_unique<cache::PolicyLaneBank>(
+            sim_config.machine.hierarchy, monitor_specs,
+            options.sampledSets);
+    }
 
     Simulator simulator(sim_config, source);
-    if (instrumentation && instrumentation->traceSink)
-        simulator.setTraceSink(instrumentation->traceSink);
+    if (bank)
+        simulator.hierarchy().setLanes(bank.get());
+    if (observers && observers->traceSink)
+        simulator.setTraceSink(observers->traceSink);
 
     const auto start = std::chrono::steady_clock::now();
     // Phase boundary: the simulator fires this exactly when the
     // warm-up counters reset and the measurement window opens.
     auto measure_start = start;
-    if (telemetry)
-        simulator.setOnMeasureStart([&measure_start]() {
-            measure_start = std::chrono::steady_clock::now();
-        });
-    Metrics metrics = simulator.run();
-    const auto stop = std::chrono::steady_clock::now();
-
-    if (instrumentation) {
-        simulator.exportRegistry(instrumentation->registry);
-        instrumentation->sampler = simulator.sampler();
-        instrumentation->wallSeconds =
-            std::chrono::duration<double>(stop - start).count();
-    }
-
-    if (telemetry) {
-        const auto harvested = std::chrono::steady_clock::now();
-        telemetry->warmupSeconds =
-            std::chrono::duration<double>(measure_start - start)
-                .count();
-        telemetry->measureSeconds =
-            std::chrono::duration<double>(stop - measure_start)
-                .count();
-        telemetry->statExportSeconds =
-            std::chrono::duration<double>(harvested - stop).count();
-        if (stats::SpanRecorder *recorder = telemetry->spans) {
-            recorder->recordSpan("warmup", recorder->toNs(start),
-                                 recorder->toNs(measure_start));
-            recorder->recordSpan("measure",
-                                 recorder->toNs(measure_start),
-                                 recorder->toNs(stop));
-            recorder->recordSpan("stat_export", recorder->toNs(stop),
-                                 recorder->toNs(harvested));
-        }
-    }
-    return metrics;
-}
-
-/**
- * Shared body of the fused-group overloads: lane 0 runs the timing
- * Hierarchy, the rest observe as monitor lanes.
- */
-std::vector<Metrics>
-groupOverSource(trace::TraceSource &source,
-                const std::vector<replacement::PolicySpec> &l2_specs,
-                const replacement::PolicySpec &l1i_spec,
-                const RunOptions &options,
-                std::vector<stats::Registry> *registries,
-                RunTelemetry *telemetry)
-{
-    if (l2_specs.empty())
-        throw std::invalid_argument("runPolicyGroup: no policies");
-
-    MachineOptions machine_options;
-    machine_options.l2Spec = l2_specs.front();
-    machine_options.l1iSpec = l1i_spec;
-    machine_options.l2Policy = l2_specs.front().toString();
-    machine_options.l1iPolicy = l1i_spec.toString();
-    machine_options.emissaryTreePlru = options.emissaryTreePlru;
-    machine_options.bypassLowPriorityInst =
-        options.bypassLowPriorityInst;
-    machine_options.fdip = options.fdip;
-    machine_options.nextLinePrefetch = options.nextLinePrefetch;
-    machine_options.idealL2Inst = options.idealL2Inst;
-    machine_options.seed = options.seed;
-
-    Simulator::Config sim_config;
-    sim_config.machine = alderlakeConfig(machine_options);
-    sim_config.warmupInstructions = options.warmupInstructions;
-    sim_config.measureInstructions = options.measureInstructions;
-    sim_config.priorityResetInstructions =
-        options.priorityResetInstructions;
-
-    // Monitor lanes for every spec past the first. The option knob
-    // alderlakeConfig applies to the timing spec must reach them the
-    // same way.
-    std::vector<replacement::PolicySpec> monitor_specs(
-        l2_specs.begin() + 1, l2_specs.end());
-    for (replacement::PolicySpec &spec : monitor_specs)
-        spec.emissaryTreePlru = options.emissaryTreePlru;
-    std::unique_ptr<cache::PolicyLaneBank> bank;
-    if (!monitor_specs.empty())
-        bank = std::make_unique<cache::PolicyLaneBank>(
-            sim_config.machine.hierarchy, monitor_specs,
-            options.sampledSets);
-
-    Simulator simulator(sim_config, source);
-    if (bank)
-        simulator.hierarchy().setLanes(bank.get());
-
-    const auto start = std::chrono::steady_clock::now();
-    auto measure_start = start;
-    if (telemetry)
+    if (observers)
         simulator.setOnMeasureStart([&measure_start]() {
             measure_start = std::chrono::steady_clock::now();
         });
 
     std::vector<Metrics> metrics;
-    metrics.reserve(l2_specs.size());
+    metrics.reserve(plan.l2Specs.size());
     metrics.push_back(simulator.run());
-    for (unsigned lane = 0; lane + 1 < l2_specs.size(); ++lane)
+    for (unsigned lane = 0; lane < monitors; ++lane)
         metrics.push_back(simulator.collectLane(lane));
+    for (Metrics &m : metrics)
+        m.codeFootprintLines = source.uniqueCodeLines();
     const auto stop = std::chrono::steady_clock::now();
+    if (!observers)
+        return metrics;
 
-    if (registries) {
-        registries->clear();
-        registries->resize(l2_specs.size());
-        simulator.exportRegistry((*registries)[0]);
-        for (unsigned lane = 0; lane + 1 < l2_specs.size(); ++lane)
-            simulator.exportLaneRegistry(lane,
-                                         (*registries)[lane + 1]);
-    }
+    simulator.exportRegistry(observers->registry);
+    observers->monitorRegistries.assign(monitors, {});
+    for (unsigned lane = 0; lane < monitors; ++lane)
+        simulator.exportLaneRegistry(lane,
+                                     observers->monitorRegistries[lane]);
+    observers->sampler = simulator.sampler();
 
-    if (telemetry) {
-        const auto harvested = std::chrono::steady_clock::now();
-        telemetry->warmupSeconds =
-            std::chrono::duration<double>(measure_start - start)
-                .count();
-        telemetry->measureSeconds =
-            std::chrono::duration<double>(stop - measure_start)
-                .count();
-        telemetry->statExportSeconds =
-            std::chrono::duration<double>(harvested - stop).count();
-        if (stats::SpanRecorder *recorder = telemetry->spans) {
-            recorder->recordSpan("warmup", recorder->toNs(start),
-                                 recorder->toNs(measure_start));
-            recorder->recordSpan("measure",
-                                 recorder->toNs(measure_start),
-                                 recorder->toNs(stop));
-            recorder->recordSpan("stat_export", recorder->toNs(stop),
-                                 recorder->toNs(harvested));
-        }
+    const auto harvested = std::chrono::steady_clock::now();
+    const auto seconds = [](auto from, auto to) {
+        return std::chrono::duration<double>(to - from).count();
+    };
+    observers->wallSeconds = seconds(start, stop);
+    observers->warmupSeconds = seconds(start, measure_start);
+    observers->measureSeconds = seconds(measure_start, stop);
+    observers->statExportSeconds = seconds(stop, harvested);
+    if (stats::SpanRecorder *recorder = observers->spans) {
+        recorder->recordSpan("warmup", recorder->toNs(start),
+                             recorder->toNs(measure_start));
+        recorder->recordSpan("measure", recorder->toNs(measure_start),
+                             recorder->toNs(stop));
+        recorder->recordSpan("stat_export", recorder->toNs(stop),
+                             recorder->toNs(harvested));
     }
     return metrics;
-}
-
-} // namespace
-
-std::vector<Metrics>
-runPolicyGroup(std::shared_ptr<const trace::RecordBuffer> buffer,
-               const std::vector<replacement::PolicySpec> &l2_specs,
-               const replacement::PolicySpec &l1i_spec,
-               const RunOptions &options,
-               std::vector<stats::Registry> *registries,
-               RunTelemetry *telemetry)
-{
-    trace::ReplayCursor cursor(std::move(buffer));
-    std::vector<Metrics> metrics =
-        groupOverSource(cursor, l2_specs, l1i_spec, options,
-                        registries, telemetry);
-    for (Metrics &m : metrics)
-        m.codeFootprintLines = cursor.uniqueCodeLines();
-    return metrics;
-}
-
-std::vector<Metrics>
-runPolicyGroup(const trace::SyntheticProgram &program,
-               const std::vector<replacement::PolicySpec> &l2_specs,
-               const replacement::PolicySpec &l1i_spec,
-               const RunOptions &options,
-               std::vector<stats::Registry> *registries,
-               RunTelemetry *telemetry)
-{
-    trace::SyntheticExecutor executor(program);
-    std::vector<Metrics> metrics =
-        groupOverSource(executor, l2_specs, l1i_spec, options,
-                        registries, telemetry);
-    for (Metrics &m : metrics)
-        m.codeFootprintLines = executor.uniqueCodeLines();
-    return metrics;
-}
-
-std::vector<Metrics>
-runPolicyGroup(trace::TraceSource &source,
-               const std::vector<replacement::PolicySpec> &l2_specs,
-               const replacement::PolicySpec &l1i_spec,
-               const RunOptions &options,
-               std::vector<stats::Registry> *registries,
-               RunTelemetry *telemetry)
-{
-    return groupOverSource(source, l2_specs, l1i_spec, options,
-                           registries, telemetry);
 }
 
 Metrics
 runPolicy(const trace::SyntheticProgram &program,
-          const replacement::PolicySpec &l2_spec,
-          const replacement::PolicySpec &l1i_spec,
-          const RunOptions &options,
-          RunInstrumentation *instrumentation,
-          RunTelemetry *telemetry)
+          const std::string &l2_policy, const RunOptions &options)
 {
     // A fresh executor with the profile's own seed: every policy run
     // for this benchmark replays the identical committed path.
     trace::SyntheticExecutor executor(program);
-    Metrics metrics = runOverSource(executor, l2_spec, l1i_spec,
-                                    options, instrumentation,
-                                    telemetry);
-    metrics.codeFootprintLines = executor.uniqueCodeLines();
-    return metrics;
-}
-
-Metrics
-runPolicy(std::shared_ptr<const trace::RecordBuffer> buffer,
-          const replacement::PolicySpec &l2_spec,
-          const replacement::PolicySpec &l1i_spec,
-          const RunOptions &options,
-          RunInstrumentation *instrumentation,
-          RunTelemetry *telemetry)
-{
-    trace::ReplayCursor cursor(std::move(buffer));
-    Metrics metrics = runOverSource(cursor, l2_spec, l1i_spec,
-                                    options, instrumentation,
-                                    telemetry);
-    metrics.codeFootprintLines = cursor.uniqueCodeLines();
-    return metrics;
-}
-
-Metrics
-runPolicy(trace::TraceSource &source,
-          const replacement::PolicySpec &l2_spec,
-          const replacement::PolicySpec &l1i_spec,
-          const RunOptions &options,
-          RunInstrumentation *instrumentation,
-          RunTelemetry *telemetry)
-{
-    return runOverSource(source, l2_spec, l1i_spec, options,
-                         instrumentation, telemetry);
+    RunPlan plan;
+    plan.l2Specs = {replacement::PolicySpec::parse(l2_policy)};
+    plan.l1iSpec = replacement::PolicySpec::parse(options.l1iPolicy);
+    plan.options = options;
+    return execute(executor, plan).front();
 }
 
 std::string

@@ -11,7 +11,6 @@
 #define EMISSARY_CORE_EXPERIMENT_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,7 @@
 #include "stats/sampler.hh"
 #include "trace/profile.hh"
 #include "trace/program.hh"
-#include "trace/replay.hh"
+#include "trace/record.hh"
 
 namespace emissary::stats
 {
@@ -49,73 +48,60 @@ struct RunOptions
     std::uint64_t priorityResetInstructions = 0;
     std::uint64_t seed = 0x5EEDULL;
     /**
-     * Fast mode: monitor lanes of a fused runPolicyGroup model only
+     * Fast mode: monitor lanes of a multi-lane execute model only
      * 1 set in every @c sampledSets (a power of two; 0 or 1 = full
      * fidelity), with counters scaled back by the sampling factor at
-     * collection. Ignored by the sequential runPolicy path and by
-     * the group's timing lane, which always runs full-size arrays.
-     * Measured error bounds: docs/performance.md.
+     * collection. Ignored by one-lane runs and by lane 0, which
+     * always runs full-size arrays. Measured error bounds:
+     * docs/performance.md.
      */
     unsigned sampledSets = 0;
 };
 
 /**
- * Run one benchmark under one L2 policy.
- *
- * @param program The benchmark's generated program (reuse across
- *        policies so every run replays the identical stream).
- * @param l2_policy Policy in paper notation, e.g. "P(8):S&E&R(1/32)".
- * @param options Window and machine knobs.
+ * What one trace pass simulates: the L2 policy of every lane, the
+ * L1I policy and the run knobs. Lane 0 runs the full timing
+ * Hierarchy — its Metrics are those of a sequential run of that
+ * policy. Lanes 1.. run as monitor lanes (cache/lanes.hh): per-policy
+ * L2+L3 arrays fed by the shared pipeline's access stream, so their
+ * cache counters match a sequential run up to the L2-latency
+ * feedback into fetch, and their cycle counts are first-order
+ * estimates (errors quantified by bench_fastmode_validation). With
+ * options.sampledSets = K > 1, monitor lanes keep only 1-in-K sets.
  */
-Metrics runPolicy(const trace::SyntheticProgram &program,
-                  const std::string &l2_policy,
-                  const RunOptions &options);
-
-/**
- * Pre-parsed variant: the grid engine parses each policy string once
- * per sweep and reuses the specs for every workload, keeping
- * PolicySpec::parse out of the per-run path.
- */
-Metrics runPolicy(const trace::SyntheticProgram &program,
-                  const replacement::PolicySpec &l2_spec,
-                  const replacement::PolicySpec &l1i_spec,
-                  const RunOptions &options);
-
-/**
- * Observability attachments for one run. Inputs (sampleInterval,
- * traceSink) are read before the run; outputs (registry, sampler,
- * wallSeconds) are filled when it completes. All off by default —
- * the plain runPolicy overloads pay no observability cost.
- */
-struct RunInstrumentation
+struct RunPlan
 {
-    /** Snapshot cadence in committed instructions (0 = off). */
-    std::uint64_t sampleInterval = 0;
-    /** JSONL event sink, armed for the measurement window only
-     *  (nullptr = off). Not owned. */
-    stats::TraceSink *traceSink = nullptr;
-
-    /** End-of-window counters under their dotted names. */
-    stats::Registry registry;
-    /** Interval snapshots (empty unless sampleInterval > 0). */
-    stats::Sampler sampler;
-    /** Wall-clock of the simulate call, excluding program build. */
-    double wallSeconds = 0.0;
+    /** One spec per lane; at least one. */
+    std::vector<replacement::PolicySpec> l2Specs;
+    replacement::PolicySpec l1iSpec;
+    RunOptions options;
 };
 
 /**
- * Flight-recorder attachment and phase-timing output for one run.
- * With @p spans set, the run records "warmup", "measure" and
- * "stat_export" child slices on the calling thread's track; the
- * phase seconds are filled either way, so the grid engine's
- * per-phase totals cost four steady_clock reads per cell even when
- * the recorder is off.
+ * Attachments for one pass. Inputs are read before the pass; outputs
+ * are filled when it completes. A pass run without observers pays
+ * no observability cost.
  */
-struct RunTelemetry
+struct RunObservers
 {
-    /** Flight recorder for phase spans (nullptr = none). Not owned. */
+    /** Snapshot cadence in committed instructions (0 = off). */
+    std::uint64_t sampleInterval = 0;
+    /** JSONL event sink of lane 0, armed for the measurement window
+     *  only (nullptr = off). Not owned. */
+    stats::TraceSink *traceSink = nullptr;
+    /** Flight recorder (nullptr = none). Not owned. When set, the
+     *  pass records "warmup", "measure" and "stat_export" child
+     *  slices on the calling thread's track. */
     stats::SpanRecorder *spans = nullptr;
 
+    /** Lane 0's end-of-window counters under their dotted names. */
+    stats::Registry registry;
+    /** Monitor lanes' counters, lanes 1.. in plan order. */
+    std::vector<stats::Registry> monitorRegistries;
+    /** Lane 0's interval snapshots (empty unless sampleInterval). */
+    stats::Sampler sampler;
+    /** Wall seconds of the simulate call, excluding source set-up. */
+    double wallSeconds = 0.0;
     /** Wall seconds from simulate start to the measurement window. */
     double warmupSeconds = 0.0;
     /** Wall seconds of the measurement window itself. */
@@ -125,86 +111,32 @@ struct RunTelemetry
     double statExportSeconds = 0.0;
 };
 
-/** Instrumented variant: as above, plus structured observability. */
+/**
+ * Run one trace pass: drive @p source, from its current position,
+ * through the Alderlake machine with every lane of @p plan. This is
+ * the one place a simulation runs; a sequential run is a one-lane
+ * plan. Every lane's Metrics.codeFootprintLines is the source's
+ * TraceSource::uniqueCodeLines() after the pass.
+ *
+ * @return One Metrics per lane, in plan.l2Specs order.
+ * @throws std::invalid_argument when the plan has no lanes.
+ */
+std::vector<Metrics> execute(trace::TraceSource &source,
+                             const RunPlan &plan,
+                             RunObservers *observers = nullptr);
+
+/**
+ * Run one benchmark under one L2 policy: a one-lane execute over a
+ * fresh executor of @p program.
+ *
+ * @param program The benchmark's generated program (reuse across
+ *        policies so every run replays the identical stream).
+ * @param l2_policy Policy in paper notation, e.g. "P(8):S&E&R(1/32)".
+ * @param options Window and machine knobs.
+ */
 Metrics runPolicy(const trace::SyntheticProgram &program,
-                  const replacement::PolicySpec &l2_spec,
-                  const replacement::PolicySpec &l1i_spec,
-                  const RunOptions &options,
-                  RunInstrumentation *instrumentation,
-                  RunTelemetry *telemetry = nullptr);
-
-/**
- * Replay variant: feed the run from a pre-generated RecordBuffer
- * instead of a live SyntheticExecutor. Produces bit-identical Metrics
- * to the live overloads for the same workload and options
- * (tests/test_replay.cpp); the grid engine uses it so a sweep
- * generates each workload's stream once instead of once per cell.
- */
-Metrics runPolicy(std::shared_ptr<const trace::RecordBuffer> buffer,
-                  const replacement::PolicySpec &l2_spec,
-                  const replacement::PolicySpec &l1i_spec,
-                  const RunOptions &options,
-                  RunInstrumentation *instrumentation = nullptr,
-                  RunTelemetry *telemetry = nullptr);
-
-/**
- * Generic-source variant: run over any TraceSource — a file-backed
- * trace (trace::FileTraceSource, workload::PackedTraceSource) or any
- * other stream honouring the infinite-stream contract. The source is
- * consumed from its current position. Metrics.codeFootprintLines is
- * left 0; callers with footprint metadata (e.g. an EMTC container's
- * pack-time census) fill it themselves.
- */
-Metrics runPolicy(trace::TraceSource &source,
-                  const replacement::PolicySpec &l2_spec,
-                  const replacement::PolicySpec &l1i_spec,
-                  const RunOptions &options,
-                  RunInstrumentation *instrumentation = nullptr,
-                  RunTelemetry *telemetry = nullptr);
-
-/**
- * Fused multi-policy pass: one trace replay drives every policy in
- * @p l2_specs at once. The first spec is the *timing lane* — it runs
- * the full Hierarchy and its Metrics are bit-identical to a
- * sequential runPolicy of that spec (tests/test_fused.cpp). The
- * remaining specs run as monitor lanes (cache/lanes.hh): per-policy
- * L2+L3 arrays fed by the shared pipeline's access stream, so their
- * cache counters match a sequential run up to the L2-latency
- * feedback into fetch timing, and their cycle counts are first-order
- * estimates (errors quantified by bench_fastmode_validation).
- *
- * With options.sampledSets = K > 1, monitor lanes keep only 1-in-K
- * sets (the timing lane stays exact).
- *
- * @param registries When non-null, resized to l2_specs.size() and
- *        filled with each lane's end-of-window counter registry.
- * @return One Metrics per spec, in l2_specs order.
- */
-std::vector<Metrics>
-runPolicyGroup(std::shared_ptr<const trace::RecordBuffer> buffer,
-               const std::vector<replacement::PolicySpec> &l2_specs,
-               const replacement::PolicySpec &l1i_spec,
-               const RunOptions &options,
-               std::vector<stats::Registry> *registries = nullptr,
-               RunTelemetry *telemetry = nullptr);
-
-/** Live-program variant of the fused pass. */
-std::vector<Metrics>
-runPolicyGroup(const trace::SyntheticProgram &program,
-               const std::vector<replacement::PolicySpec> &l2_specs,
-               const replacement::PolicySpec &l1i_spec,
-               const RunOptions &options,
-               std::vector<stats::Registry> *registries = nullptr,
-               RunTelemetry *telemetry = nullptr);
-
-/** Generic-source variant of the fused pass. */
-std::vector<Metrics>
-runPolicyGroup(trace::TraceSource &source,
-               const std::vector<replacement::PolicySpec> &l2_specs,
-               const replacement::PolicySpec &l1i_spec,
-               const RunOptions &options,
-               std::vector<stats::Registry> *registries = nullptr,
-               RunTelemetry *telemetry = nullptr);
+                  const std::string &l2_policy,
+                  const RunOptions &options);
 
 /**
  * Every RunOptions field as one canonical compact-JSON string, the

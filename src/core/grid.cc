@@ -12,6 +12,8 @@
 #include "core/buildinfo.hh"
 #include "core/observability.hh"
 #include "core/replay_build.hh"
+#include "core/result_cache.hh"
+#include "trace/executor.hh"
 #include "trace/file.hh"
 #include "trace/program.hh"
 #include "trace/replay.hh"
@@ -44,23 +46,6 @@ struct BuildDone
     std::chrono::steady_clock::time_point start;
     ~BuildDone() { out = secondsSince(start); }
 };
-
-/** Local alias for the shared helper (core/replay_build.hh). */
-bool
-isPackedTrace(const std::string &path)
-{
-    return isPackedTracePath(path);
-}
-
-/** Pack-time unique-code-line census of an EMTC container (0 for
- *  EMTR traces, which carry no footprint metadata). */
-std::uint64_t
-traceFootprintLines(const GridWorkload &w)
-{
-    if (!w.traceBacked() || !isPackedTrace(w.tracePath))
-        return 0;
-    return readTraceInfo(w.tracePath).uniqueCodeLines;
-}
 
 /**
  * Records one replay buffer must hold to cover every run spec of the
@@ -132,7 +117,7 @@ cellCacheCanonical(const GridWorkload &workload, const RunSpec &run,
     // must not change its cached result.
     JsonValue source = JsonValue::object();
     if (workload.traceBacked()) {
-        if (isPackedTrace(workload.tracePath)) {
+        if (isPackedTracePath(workload.tracePath)) {
             // The index CRC transitively digests every block's own
             // CRC, so these header fields identify the full payload
             // without decoding it.
@@ -396,17 +381,6 @@ GridResults::instructionsPerSecond() const
 
 stats::Table
 GridResults::timingTable(
-    const std::vector<trace::WorkloadProfile> &workloads) const
-{
-    std::vector<GridWorkload> rows;
-    rows.reserve(workloads.size());
-    for (const trace::WorkloadProfile &profile : workloads)
-        rows.emplace_back(profile);
-    return timingTable(rows);
-}
-
-stats::Table
-GridResults::timingTable(
     const std::vector<GridWorkload> &workloads) const
 {
     stats::Table table({"workload", "runs", "seconds"});
@@ -448,14 +422,6 @@ GridResults::timingTable(
 
 GridResults
 runGrid(const PolicyGrid &grid, ThreadPool &pool,
-        const std::function<void(std::size_t w, std::size_t r)>
-            &progress, stats::SpanRecorder *recorder)
-{
-    return runGrid(grid, pool, GridOptions{}, progress, recorder);
-}
-
-GridResults
-runGrid(const PolicyGrid &grid, ThreadPool &pool,
         const GridOptions &options,
         const std::function<void(std::size_t w, std::size_t r)>
             &progress, stats::SpanRecorder *recorder)
@@ -465,12 +431,17 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
 
     // Fused scheduling applies when every run of a row can share one
     // machine; with heterogeneous run knobs the whole grid falls back
-    // to the per-cell engine (simplest correct rule — mixed grids are
-    // the ablation harnesses, which are not throughput-bound).
+    // to one-lane passes (simplest correct rule — mixed grids are the
+    // ablation harnesses, which are not throughput-bound).
     bool fusable = options.fused;
     for (std::size_t r = 1; fusable && r < grid.runs.size(); ++r)
         fusable = sameRunKnobs(grid.runs.front().options,
                                grid.runs[r].options);
+    // Runs per pass: a fused pass takes up to kMaxLanes consecutive
+    // runs of a row, the first as its timing lane and the rest as
+    // monitor lanes; otherwise every cell is its own one-lane pass.
+    const std::size_t width =
+        fusable ? cache::PolicyLaneBank::kMaxLanes : 1;
 
     // A disabled recorder behaves exactly like no recorder: all the
     // instrumentation below keys off this one pointer.
@@ -510,7 +481,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     std::size_t completed_cells = 0;
     std::uint64_t completed_instructions = 0;
 
-    // Serialized completion bookkeeping shared by both engines.
+    // Serialized completion bookkeeping shared by every pass.
     const auto note_cell_done = [&](std::size_t w, std::size_t r,
                                     std::uint64_t instructions) {
         if (!progress && !recorder)
@@ -539,16 +510,14 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     // Cache probe: resolve every cell's content identity and serve
     // hits before the build phase, so a fully cached row skips even
     // its replay-buffer build. Roles follow the request layout, not
-    // the miss set: with fused scheduling, the first column of every
-    // kMaxLanes chunk is the exact timing lane and the rest are
-    // monitor lanes driven by that column's policy.
+    // the miss set: the first column of every pass is the exact
+    // timing lane and the rest are monitor lanes driven by that
+    // column's policy.
     std::vector<std::vector<std::string>> cache_keys;
     std::vector<std::vector<std::string>> cache_canonicals;
     std::vector<std::vector<char>> cache_hits;
     std::vector<char> row_fully_cached(grid.workloads.size(), 0);
     if (options.cellCache) {
-        const std::size_t chunk_lanes =
-            cache::PolicyLaneBank::kMaxLanes;
         const std::string &sha = buildInfo().gitSha;
         cache_keys.assign(grid.workloads.size(),
                           std::vector<std::string>(grid.runs.size()));
@@ -558,10 +527,10 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
             bool all_hit = true;
             for (std::size_t r = 0; r < grid.runs.size(); ++r) {
-                const bool monitor = fusable && r % chunk_lanes != 0;
+                const bool monitor = r % width != 0;
                 cache_canonicals[w][r] = cellCacheCanonical(
                     grid.workloads[w], grid.runs[r],
-                    monitor ? grid.runs[r - r % chunk_lanes].l2Policy
+                    monitor ? grid.runs[r - r % width].l2Policy
                             : std::string(),
                     options.sampledSets, sha);
                 cache_keys[w][r] =
@@ -575,7 +544,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                 }
                 // The display name sits outside the identity, so
                 // restamp it; every other field (footprint included)
-                // was stored post-stamp and comes back as simulated.
+                // comes back as simulated.
                 entry.metrics.benchmark = grid.workloads[w].name;
                 results.cells_[w][r] = std::move(entry.metrics);
                 results.execution_[w][r] = CellExecution::Cached;
@@ -616,7 +585,6 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         grid.workloads.size());
     std::vector<std::shared_ptr<const trace::RecordBuffer>> buffers(
         grid.workloads.size());
-    std::vector<std::uint64_t> footprints(grid.workloads.size(), 0);
     std::vector<double> build_seconds(grid.workloads.size(), 0.0);
     {
         std::vector<std::future<void>> built;
@@ -629,10 +597,9 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                 continue;
             const bool replay = w < replayable;
             built.push_back(pool.submit([&grid, &programs, &buffers,
-                                         &footprints, &build_seconds,
-                                         &label_track, &pool,
-                                         recorder, records, replay,
-                                         w]() {
+                                         &build_seconds, &label_track,
+                                         &pool, recorder, records,
+                                         replay, w]() {
                 const auto build_start =
                     std::chrono::steady_clock::now();
                 label_track();
@@ -649,10 +616,9 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                     // containers decode their blocks in parallel
                     // across the same pool (this job helps), bit-
                     // identically to a serial streaming build.
-                    footprints[w] = traceFootprintLines(row);
-                    if (!replay)
-                        return;
-                    buffers[w] = buildTraceReplay(row, records, pool);
+                    if (replay)
+                        buffers[w] =
+                            buildTraceReplay(row, records, pool);
                     return;
                 }
                 programs[w] =
@@ -671,253 +637,149 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     for (const double s : build_seconds)
         results.timing_.replayBuildSeconds += s;
 
-    std::vector<std::future<void>> cells;
-    cells.reserve(grid.cellCount());
+    // The row-source choice, made once for every pass: replay the
+    // row's buffer; past the replay budget, stream a trace file fresh
+    // (the decode is bit-exact, so the Metrics match the buffered
+    // path) or run the synthetic program live.
+    const auto open_row =
+        [&](std::size_t w) -> std::unique_ptr<trace::TraceSource> {
+        if (buffers[w])
+            return std::make_unique<trace::ReplayCursor>(buffers[w]);
+        if (grid.workloads[w].traceBacked())
+            return openTraceSource(grid.workloads[w]);
+        return std::make_unique<trace::SyntheticExecutor>(*programs[w]);
+    };
 
-    if (fusable) {
-        // Fused engine: one trace pass per (workload, lane chunk).
-        // The chunk's first run is its timing lane; chunks past
-        // kMaxLanes get their own pass (and timing lane).
-        const std::size_t max_lanes = cache::PolicyLaneBank::kMaxLanes;
-        for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-            for (std::size_t base = 0; base < grid.runs.size();
-                 base += max_lanes) {
-                const std::size_t count = std::min(
-                    max_lanes, grid.runs.size() - base);
-                // Lanes this pass must still produce; cache hits
-                // already sit in their result slots.
-                std::vector<std::size_t> fresh;
-                fresh.reserve(count);
-                for (std::size_t lane = 0; lane < count; ++lane)
-                    if (!cell_cached(w, base + lane))
-                        fresh.push_back(lane);
-                if (fresh.empty())
-                    continue;
-                cells.push_back(pool.submit([&, w, base,
-                                             fresh]() {
-                    const auto group_start =
-                        std::chrono::steady_clock::now();
-                    label_track();
-                    const GridWorkload &row = grid.workloads[w];
-                    stats::ScopedTimer span(recorder, "group");
-                    // The chunk's designated timing policy always
-                    // drives the pass, even when its own cell was a
-                    // cache hit: monitor results depend on the
-                    // timing lane's policy through the shared
-                    // pipeline, and the cache keyed them under this
-                    // driver. A cached lane-0 result is recomputed
-                    // and discarded, never served wrong.
-                    std::vector<replacement::PolicySpec> group_specs;
-                    group_specs.reserve(fresh.size() + 1);
-                    group_specs.push_back(l2_specs[base]);
-                    for (const std::size_t lane : fresh)
-                        if (lane != 0)
-                            group_specs.push_back(
-                                l2_specs[base + lane]);
-                    RunOptions group_options =
-                        grid.runs[base].options;
-                    group_options.sampledSets = options.sampledSets;
-                    RunTelemetry telemetry;
-                    telemetry.spans = recorder;
-                    std::vector<stats::Registry> lane_registries;
-                    std::vector<stats::Registry> *const regs =
-                        collect ? &lane_registries : nullptr;
-                    std::vector<Metrics> metrics;
-                    if (buffers[w]) {
-                        metrics = runPolicyGroup(
-                            buffers[w], group_specs, l1i_specs[base],
-                            group_options, regs, &telemetry);
-                    } else if (row.traceBacked()) {
-                        auto source = openTraceSource(row);
-                        metrics = runPolicyGroup(
-                            *source, group_specs, l1i_specs[base],
-                            group_options, regs, &telemetry);
-                    } else {
-                        metrics = runPolicyGroup(
-                            *programs[w], group_specs,
-                            l1i_specs[base], group_options, regs,
-                            &telemetry);
-                    }
-                    const double group_seconds =
-                        secondsSince(group_start);
-                    // One pass produced every fresh cell: wall and
-                    // phase time split evenly over them so row and
-                    // phase totals still sum to real wall clock.
-                    const double denom =
-                        static_cast<double>(fresh.size());
-                    const double share = group_seconds / denom;
-                    const GridTiming::CellPhases phase_share = {
-                        telemetry.warmupSeconds / denom,
-                        telemetry.measureSeconds / denom,
-                        telemetry.statExportSeconds / denom};
-                    std::uint64_t group_instructions = 0;
-                    std::size_t next_monitor = 1;
-                    for (const std::size_t lane : fresh) {
-                        const std::size_t r = base + lane;
-                        const std::size_t slot =
-                            lane == 0 ? 0 : next_monitor++;
-                        Metrics &m = metrics[slot];
-                        m.benchmark = row.name;
-                        if (row.traceBacked())
-                            m.codeFootprintLines = footprints[w];
-                        group_instructions += m.instructions;
+    // One pass per (workload, run chunk) with any cell left to
+    // produce; cache hits already sit in their result slots.
+    std::vector<std::future<void>> passes;
+    passes.reserve(grid.cellCount());
+    for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
+        for (std::size_t base = 0; base < grid.runs.size();
+             base += width) {
+            const std::size_t count =
+                std::min(width, grid.runs.size() - base);
+            std::vector<std::size_t> fresh;
+            fresh.reserve(count);
+            for (std::size_t lane = 0; lane < count; ++lane)
+                if (!cell_cached(w, base + lane))
+                    fresh.push_back(lane);
+            if (fresh.empty())
+                continue;
+            passes.push_back(pool.submit([&, w, base, fresh]() {
+                const auto pass_start = std::chrono::steady_clock::now();
+                label_track();
+                // Each pass owns its source, simulator and seeded
+                // RNGs; it writes only its own cells' result slots, so
+                // no locking — and completion order cannot reorder or
+                // perturb the results.
+                const GridWorkload &row = grid.workloads[w];
+                stats::ScopedTimer span(recorder,
+                                        fusable ? "group" : "cell");
+                // The chunk's designated timing policy always drives
+                // the pass, even when its own cell was a cache hit:
+                // monitor results depend on the timing lane's policy
+                // through the shared pipeline, and the cache keyed
+                // them under this driver. A cached lane-0 result is
+                // recomputed and discarded, never served wrong.
+                RunPlan plan;
+                plan.l2Specs.reserve(fresh.size() + 1);
+                plan.l2Specs.push_back(l2_specs[base]);
+                for (const std::size_t lane : fresh)
+                    if (lane != 0)
+                        plan.l2Specs.push_back(l2_specs[base + lane]);
+                plan.l1iSpec = l1i_specs[base];
+                plan.options = grid.runs[base].options;
+                plan.options.sampledSets = options.sampledSets;
+                RunObservers observers;
+                observers.spans = recorder;
+                std::vector<Metrics> metrics =
+                    execute(*open_row(w), plan, &observers);
+                const double pass_seconds = secondsSince(pass_start);
+
+                // One pass produced every fresh cell: wall and phase
+                // time split evenly over them so row and phase totals
+                // still sum to real wall clock.
+                const double denom = static_cast<double>(fresh.size());
+                const double share = pass_seconds / denom;
+                const GridTiming::CellPhases phase_share = {
+                    observers.warmupSeconds / denom,
+                    observers.measureSeconds / denom,
+                    observers.statExportSeconds / denom};
+                std::uint64_t pass_instructions = 0;
+                std::size_t next_monitor = 1;
+                for (const std::size_t lane : fresh) {
+                    const std::size_t r = base + lane;
+                    const std::size_t slot =
+                        lane == 0 ? 0 : next_monitor++;
+                    Metrics &m = metrics[slot];
+                    // The grid row's name wins over the source's
+                    // self-description.
+                    m.benchmark = row.name;
+                    pass_instructions += m.instructions;
+                    if (collect) {
+                        stats::Registry &registry =
+                            slot == 0
+                                ? observers.registry
+                                : observers.monitorRegistries[slot - 1];
                         if (options.cellCache) {
                             CellCacheEntry entry;
                             entry.metrics = m;
-                            entry.counters =
-                                registryJson(lane_registries[slot]);
+                            entry.counters = registryJson(registry);
                             options.cellCache->store(
                                 cache_keys[w][r],
                                 cache_canonicals[w][r], entry);
                         }
-                        results.cells_[w][r] = std::move(m);
-                        if (collect)
-                            results.registries_[w][r] = std::move(
-                                lane_registries[slot]);
-                        results.timing_.runSeconds[w][r] = share;
-                        results.timing_.phaseSeconds[w][r] =
-                            phase_share;
-                        results.execution_[w][r] =
-                            lane == 0
-                                ? CellExecution::FusedTiming
-                                : (options.sampledSets > 1
-                                       ? CellExecution::
-                                             FusedMonitorSampled
-                                       : CellExecution::FusedMonitor);
+                        results.registries_[w][r] = std::move(registry);
                     }
-                    if (span.active()) {
-                        span.arg("workload",
-                                 stats::JsonValue(row.name));
+                    results.cells_[w][r] = std::move(m);
+                    results.timing_.runSeconds[w][r] = share;
+                    results.timing_.phaseSeconds[w][r] = phase_share;
+                    results.execution_[w][r] =
+                        !fusable    ? CellExecution::Sequential
+                        : lane == 0 ? CellExecution::FusedTiming
+                        : options.sampledSets > 1
+                            ? CellExecution::FusedMonitorSampled
+                            : CellExecution::FusedMonitor;
+                }
+                if (span.active()) {
+                    span.arg("workload", stats::JsonValue(row.name));
+                    span.arg("policy",
+                             stats::JsonValue(grid.runs[base].l2Policy));
+                    // Grid-cell index of the pass's first cell:
+                    // policy labels repeat across rows (and group
+                    // slices cover several cells), so slices stay
+                    // distinguishable.
+                    span.arg("cell",
+                             stats::JsonValue(static_cast<std::uint64_t>(
+                                 w * grid.runs.size() + base)));
+                    if (fusable)
                         span.arg("lanes",
                                  stats::JsonValue(
                                      static_cast<std::uint64_t>(
-                                         group_specs.size())));
-                        span.arg("cell",
-                                 stats::JsonValue(
-                                     static_cast<std::uint64_t>(
-                                         w * grid.runs.size() +
-                                         base)));
-                        span.arg("policy",
-                                 stats::JsonValue(
-                                     grid.runs[base].l2Policy));
-                        span.arg("instructions",
-                                 stats::JsonValue(group_instructions));
-                        span.arg(
-                            "minst_per_sec",
-                            stats::JsonValue(
-                                group_seconds > 0.0
-                                    ? static_cast<double>(
-                                          group_instructions) /
-                                          group_seconds / 1e6
-                                    : 0.0));
-                    }
-                    for (const std::size_t lane : fresh)
-                        note_cell_done(
-                            w, base + lane,
-                            results.cells_[w][base + lane]
-                                .instructions);
-                }));
-            }
-        }
-    } else
-    for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-        for (std::size_t r = 0; r < grid.runs.size(); ++r) {
-            if (cell_cached(w, r))
-                continue;
-            cells.push_back(pool.submit([&, w, r]() {
-                const auto cell_start =
-                    std::chrono::steady_clock::now();
-                label_track();
-                // Each cell owns its source, simulator and seeded
-                // RNGs; it writes only its own result slot, so no
-                // locking — and completion order cannot reorder or
-                // perturb the results.
-                const GridWorkload &row = grid.workloads[w];
-                stats::ScopedTimer span(recorder, "cell");
-                RunTelemetry telemetry;
-                telemetry.spans = recorder;
-                RunInstrumentation instrumentation;
-                RunInstrumentation *const instr =
-                    collect ? &instrumentation : nullptr;
-                Metrics metrics;
-                if (buffers[w]) {
-                    metrics = runPolicy(buffers[w], l2_specs[r],
-                                        l1i_specs[r],
-                                        grid.runs[r].options, instr,
-                                        &telemetry);
-                } else if (row.traceBacked()) {
-                    // Past the replay budget: stream the file fresh
-                    // for this cell. The decode is bit-exact, so the
-                    // Metrics match the buffered path.
-                    auto source = openTraceSource(row);
-                    metrics = runPolicy(*source, l2_specs[r],
-                                        l1i_specs[r],
-                                        grid.runs[r].options, instr,
-                                        &telemetry);
-                } else {
-                    metrics = runPolicy(*programs[w], l2_specs[r],
-                                        l1i_specs[r],
-                                        grid.runs[r].options, instr,
-                                        &telemetry);
-                }
-                // Normalise what the source reports: the grid row's
-                // name wins over the source's self-description, and
-                // trace-backed cells take the container's pack-time
-                // footprint census on both the buffered and the
-                // streaming path.
-                metrics.benchmark = row.name;
-                if (row.traceBacked())
-                    metrics.codeFootprintLines = footprints[w];
-                if (options.cellCache) {
-                    CellCacheEntry entry;
-                    entry.metrics = metrics;
-                    entry.counters =
-                        registryJson(instrumentation.registry);
-                    options.cellCache->store(cache_keys[w][r],
-                                             cache_canonicals[w][r],
-                                             entry);
-                }
-                const std::uint64_t cell_instructions =
-                    metrics.instructions;
-                results.cells_[w][r] = std::move(metrics);
-                if (collect)
-                    results.registries_[w][r] =
-                        std::move(instrumentation.registry);
-                const double cell_seconds = secondsSince(cell_start);
-                results.timing_.runSeconds[w][r] = cell_seconds;
-                results.timing_.phaseSeconds[w][r] = {
-                    telemetry.warmupSeconds, telemetry.measureSeconds,
-                    telemetry.statExportSeconds};
-                if (span.active()) {
-                    span.arg("workload", stats::JsonValue(row.name));
-                    span.arg("policy", stats::JsonValue(
-                                           grid.runs[r].l2Policy));
-                    // Grid-cell index: policy labels repeat across
-                    // rows (and fused group slices cover several
-                    // cells), so slices stay distinguishable.
-                    span.arg("cell",
-                             stats::JsonValue(
-                                 static_cast<std::uint64_t>(
-                                     w * grid.runs.size() + r)));
+                                         plan.l2Specs.size())));
                     span.arg("instructions",
-                             stats::JsonValue(cell_instructions));
+                             stats::JsonValue(pass_instructions));
                     span.arg("minst_per_sec",
                              stats::JsonValue(
-                                 cell_seconds > 0.0
+                                 pass_seconds > 0.0
                                      ? static_cast<double>(
-                                           cell_instructions) /
-                                           cell_seconds / 1e6
+                                           pass_instructions) /
+                                           pass_seconds / 1e6
                                      : 0.0));
                 }
-                note_cell_done(w, r, cell_instructions);
+                for (const std::size_t lane : fresh)
+                    note_cell_done(
+                        w, base + lane,
+                        results.cells_[w][base + lane].instructions);
             }));
         }
     }
 
-    // Wait for every cell; report the first failure only after the
+    // Wait for every pass; report the first failure only after the
     // stragglers finish (their slots reference local state).
     std::exception_ptr first_error;
-    for (auto &future : cells) {
+    for (auto &future : passes) {
         try {
             future.get();
         } catch (...) {
@@ -930,20 +792,6 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
 
     results.timing_.totalSeconds = secondsSince(wall_start);
     return results;
-}
-
-GridResults
-runGrid(const PolicyGrid &grid)
-{
-    ThreadPool pool;
-    return runGrid(grid, pool);
-}
-
-GridResults
-runGrid(const PolicyGrid &grid, const GridOptions &options)
-{
-    ThreadPool pool;
-    return runGrid(grid, pool, options);
 }
 
 stats::JsonValue
@@ -973,7 +821,7 @@ sweepJson(const PolicyGrid &grid, const GridResults &results)
             provenance.set("skip_records",
                            JsonValue(row.skipRecords));
             provenance.set("max_records", JsonValue(row.maxRecords));
-            if (isPackedTrace(row.tracePath)) {
+            if (isPackedTracePath(row.tracePath)) {
                 const auto info = readTraceInfo(row.tracePath);
                 provenance.set("records",
                                JsonValue(info.recordCount));

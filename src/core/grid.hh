@@ -136,33 +136,7 @@ struct CellCacheEntry
     stats::JsonValue counters;
 };
 
-/**
- * Cell-level result cache consulted by runGrid. Implementations must
- * be safe to call from several pool workers at once.
- *
- * Keys are content addresses: cellCacheKey(cellCacheCanonical(...)).
- * The canonical string travels with every call so an implementation
- * can verify it against the stored entry — a hash collision then
- * degrades to a miss, never to a wrong result. The engine only ever
- * stores what it just simulated, so determinism (bit-identical
- * results for identical identity) is what makes the memoization
- * sound.
- */
-class CellResultCache
-{
-  public:
-    virtual ~CellResultCache() = default;
-
-    /** Fetch the entry under @p key; false on miss. */
-    virtual bool lookup(const std::string &key,
-                        const std::string &canonical,
-                        CellCacheEntry &out) = 0;
-
-    /** Publish a freshly simulated entry under @p key. */
-    virtual void store(const std::string &key,
-                       const std::string &canonical,
-                       const CellCacheEntry &entry) = 0;
-};
+class ResultCache;
 
 /**
  * Canonical identity of one grid cell, the string the result cache
@@ -206,12 +180,12 @@ struct GridOptions
 {
     /**
      * Fused scheduling: the cells of one workload row run as a
-     * single trace pass (core::runPolicyGroup) instead of one pass
-     * per cell — the row's first run is the group's timing lane, the
-     * rest are monitor lanes. Rows whose runs disagree on any run
-     * knob (window, seed, FDIP, ...) fall back to per-cell
-     * scheduling; rows wider than PolicyLaneBank::kMaxLanes split
-     * into chunks, each with its own timing lane.
+     * single multi-lane trace pass (core::execute) instead of one
+     * one-lane pass per cell — the row's first run is the pass's
+     * timing lane, the rest are monitor lanes. Rows whose runs
+     * disagree on any run knob (window, seed, FDIP, ...) fall back
+     * to per-cell passes; rows wider than PolicyLaneBank::kMaxLanes
+     * split into chunks, each with its own timing lane.
      */
     bool fused = false;
     /** Fast mode: 1-in-K set sampling for the monitor lanes of
@@ -227,7 +201,7 @@ struct GridOptions
      * land in GridResults with CellExecution::Cached and zero wall
      * seconds; fresh cells are stored after they complete.
      */
-    CellResultCache *cellCache = nullptr;
+    ResultCache *cellCache = nullptr;
 };
 
 /** How one grid cell's Metrics were produced. */
@@ -257,7 +231,7 @@ struct GridTiming
     /** Per-cell wall seconds, [workload][run]. */
     std::vector<std::vector<double>> runSeconds;
 
-    /** One cell's wall-clock split (core::RunTelemetry phases). */
+    /** One cell's wall-clock split (core::RunObservers phases). */
     struct CellPhases
     {
         double warmupSeconds = 0.0;
@@ -340,11 +314,6 @@ class GridResults
     stats::Table timingTable(
         const std::vector<GridWorkload> &workloads) const;
 
-    /** Profile-vector convenience (bench harnesses that keep their
-     *  own WorkloadProfile lists). */
-    stats::Table timingTable(
-        const std::vector<trace::WorkloadProfile> &workloads) const;
-
   private:
     friend GridResults runGrid(
         const PolicyGrid &, ThreadPool &, const GridOptions &,
@@ -358,7 +327,14 @@ class GridResults
 };
 
 /**
- * Run every cell of @p grid on @p pool.
+ * Run every cell of @p grid on @p pool as a schedule of trace passes
+ * (core::execute): one one-lane pass per cell, or — with
+ * options.fused — one multi-lane pass per workload row and
+ * kMaxLanes chunk ("group" slices in the flight recorder, with a
+ * "lanes" arg). Each cell's provenance lands in
+ * GridResults::executionAt and the sweep JSON. The timing lane of
+ * every fused pass is bit-identical to its one-lane pass; monitor
+ * lanes carry the fused approximation (see core::RunPlan).
  *
  * @param progress Optional callback fired after each cell completes;
  *        invocations are serialized by the engine, so the callback
@@ -379,31 +355,10 @@ class GridResults
  */
 GridResults runGrid(
     const PolicyGrid &grid, ThreadPool &pool,
+    const GridOptions &options = {},
     const std::function<void(std::size_t w, std::size_t r)>
         &progress = {},
     stats::SpanRecorder *recorder = nullptr);
-
-/**
- * Scheduling-mode variant: with options.fused, same-workload cells
- * run as fused policy groups ("group" slices in the flight recorder,
- * with a "lanes" arg); each cell's provenance lands in
- * GridResults::executionAt and the sweep JSON. The timing lane of
- * every group is bit-identical to the sequential engine; monitor
- * lanes carry the fused approximation (see core::runPolicyGroup).
- */
-GridResults runGrid(
-    const PolicyGrid &grid, ThreadPool &pool,
-    const GridOptions &options,
-    const std::function<void(std::size_t w, std::size_t r)>
-        &progress = {},
-    stats::SpanRecorder *recorder = nullptr);
-
-/** Convenience overload: a private pool of defaultWorkerCount(). */
-GridResults runGrid(const PolicyGrid &grid);
-
-/** Convenience overload with scheduling options. */
-GridResults runGrid(const PolicyGrid &grid,
-                    const GridOptions &options);
 
 /**
  * The whole sweep as one JSON document ("emissary.sweep.v1"): a

@@ -76,11 +76,13 @@ buildTraceReplay(const GridWorkload &w, std::uint64_t records,
             *source, records, std::move(tail));
     }
 
-    // The probe names the buffer exactly as the streaming build would
-    // (RecordBuffer takes the source's self-description).
-    const std::string name = openTraceSource(w)->name();
+    // The probe names the buffer and gives its footprint census
+    // exactly as the streaming build would (RecordBuffer takes both
+    // from the source).
+    const auto probe = openTraceSource(w);
     auto buffer = std::make_shared<trace::RecordBuffer>(
-        name, records, std::move(tail));
+        probe->name(), probe->uniqueCodeLines(), records,
+        std::move(tail));
 
     // Span partition is a pure function of (records, workers): block
     // aligned, large enough to amortise the per-task open, and about

@@ -9,7 +9,10 @@
  * Keys are core::cellCacheKey content addresses. Every entry carries
  * its full canonical identity string and lookup compares it, so an
  * FNV collision or a stale/corrupt disk file degrades to a miss,
- * never to a wrong result.
+ * never to a wrong result. runGrid only ever stores what it just
+ * simulated, so determinism (bit-identical results for identical
+ * identity) is what makes the memoization sound. Safe to call from
+ * several pool workers at once.
  */
 
 #ifndef EMISSARY_CORE_RESULT_CACHE_HH
@@ -25,7 +28,7 @@
 namespace emissary::core
 {
 
-class ResultCache : public CellResultCache
+class ResultCache
 {
   public:
     /**
@@ -35,11 +38,13 @@ class ResultCache : public CellResultCache
      */
     explicit ResultCache(std::string dir);
 
+    /** Fetch the entry under @p key; false on miss. */
     bool lookup(const std::string &key, const std::string &canonical,
-                CellCacheEntry &out) override;
+                CellCacheEntry &out);
 
+    /** Publish a freshly simulated entry under @p key. */
     void store(const std::string &key, const std::string &canonical,
-               const CellCacheEntry &entry) override;
+               const CellCacheEntry &entry);
 
     /** Point-in-time counters. */
     struct Snapshot

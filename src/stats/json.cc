@@ -675,8 +675,8 @@ void
 writeJsonFile(const std::string &path, const JsonValue &value)
 {
     // Artifact paths routinely point into directories that do not
-    // exist yet (EMISSARY_BENCH_JSON, bench_gate --append/--report,
-    // the service's --cache-dir): create the parents rather than
+    // exist yet (EMISSARY_BENCH_JSON, emissary_sim --stats-json,
+    // the cell cache's --cache-dir): create the parents rather than
     // failing on open, and name the directory when creation itself
     // fails.
     const std::filesystem::path parent =

@@ -39,7 +39,11 @@ class SyntheticExecutor : public TraceSource
     const char *name() const override;
 
     /** Unique 64 B instruction lines touched so far (Fig. 4). */
-    std::uint64_t uniqueCodeLines() const { return touchedLines_; }
+    std::uint64_t
+    uniqueCodeLines() const override
+    {
+        return touchedLines_;
+    }
 
     /** Unique 64 B data lines touched so far. */
     std::uint64_t uniqueDataLines() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <unordered_set>
 
 namespace emissary::trace
 {
@@ -101,6 +102,18 @@ TraceWriter::finish()
     std::fwrite(&count_, 8, 1, file_);
     std::fclose(file_);
     file_ = nullptr;
+}
+
+std::uint64_t
+FileTraceSource::uniqueCodeLines() const
+{
+    if (codeLines_ == 0) {
+        std::unordered_set<std::uint64_t> lines;
+        for (const TraceRecord &rec : records_)
+            lines.insert(rec.pc >> 6);
+        codeLines_ = lines.size();
+    }
+    return codeLines_;
 }
 
 FileTraceSource::FileTraceSource(const std::string &path,

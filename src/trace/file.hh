@@ -105,11 +105,17 @@ class FileTraceSource : public TraceSource
     /** Advance the cursor @p n records without serving them. */
     void skipRecords(std::uint64_t n);
 
+    /** Census of the served window: unique 64 B lines of its PCs,
+     *  counted once on first call (an EMTR file stores none). */
+    std::uint64_t uniqueCodeLines() const override;
+
   private:
     std::vector<TraceRecord> records_;
     std::size_t pos_ = 0;
     std::uint64_t wraps_ = 0;
     std::string name_;
+    /** uniqueCodeLines() memo; 0 until first counted. */
+    mutable std::uint64_t codeLines_ = 0;
 };
 
 /**
@@ -144,6 +150,12 @@ class RecordingSource : public TraceSource
     }
 
     const char *name() const override { return inner_.name(); }
+
+    std::uint64_t
+    uniqueCodeLines() const override
+    {
+        return inner_.uniqueCodeLines();
+    }
 
   private:
     TraceSource &inner_;

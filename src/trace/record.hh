@@ -114,6 +114,15 @@ class TraceSource
 
     /** Human-readable workload name for reports. */
     virtual const char *name() const = 0;
+
+    /**
+     * Unique 64 B instruction lines of the workload's code footprint
+     * (paper Fig. 4), the run's Metrics::codeFootprintLines. Sources
+     * that count served lines report the count so far; sources with
+     * a pack-time census report the census; sources with neither
+     * report 0.
+     */
+    virtual std::uint64_t uniqueCodeLines() const { return 0; }
 };
 
 } // namespace emissary::trace

@@ -57,15 +57,19 @@ RecordBuffer::RecordBuffer(TraceSource &source, std::uint64_t records,
     memAddr_.reserve(records);
     clsTaken_.reserve(records);
     appendFrom(source, records);
+    codeLineCensus_ = source.uniqueCodeLines();
 }
 
-RecordBuffer::RecordBuffer(std::string name, std::uint64_t records,
+RecordBuffer::RecordBuffer(std::string name,
+                           std::uint64_t code_line_census,
+                           std::uint64_t records,
                            TailFactory tail_factory)
     : pc_(records, 0),
       nextPc_(records, 0),
       memAddr_(records, 0),
       clsTaken_(records, 0),
       name_(std::move(name)),
+      codeLineCensus_(code_line_census),
       tailFactory_(std::move(tail_factory))
 {
 }
@@ -154,8 +158,10 @@ ReplayCursor::tail()
 std::uint64_t
 ReplayCursor::uniqueCodeLines() const
 {
-    return tailExecutor_ ? tailExecutor_->uniqueCodeLines()
-                         : touchedLines_;
+    if (tailExecutor_)
+        return tailExecutor_->uniqueCodeLines();
+    return buffer_->synthetic() ? touchedLines_
+                                : buffer_->codeLineCensus();
 }
 
 TraceRecord

@@ -15,8 +15,8 @@
  * Determinism contract: a run fed by a ReplayCursor produces
  * bit-identical Metrics to the same run fed by a live
  * SyntheticExecutor (tests/test_replay.cpp). The buffer therefore
- * also carries what runPolicy reads back from the source after the
- * run — the workload name and enough state to continue the
+ * also carries what core::execute reads back from the source after
+ * the run — the workload name and enough state to continue the
  * unique-code-line footprint count — and a snapshot of the generating
  * executor at end-of-buffer, so a cursor that (unexpectedly) runs off
  * the end continues the live stream exactly where generation stopped
@@ -87,8 +87,8 @@ class RecordBuffer
      * path the grid engine uses for file-backed workloads (the
      * source's wrap-around is unrolled into the buffer). No
      * footprint bitmap is kept: trace-backed cells take their
-     * Fig. 4 footprint from the container's pack-time metadata, not
-     * from the replay (docs/workloads.md).
+     * Fig. 4 footprint from the source's census (the container's
+     * pack-time metadata), not from the replay (docs/workloads.md).
      *
      * @param tail_factory Optional overrun fallback; a cursor that
      *        runs off the buffer continues from the source this
@@ -103,10 +103,11 @@ class RecordBuffer
      * (core::buildTraceReplay) fills disjoint spans from
      * several workers at once. The buffer must be fully written
      * before any cursor replays it; no footprint bitmap is kept,
-     * exactly like the streaming trace constructor.
+     * exactly like the streaming trace constructor, which would
+     * take @p name and @p code_line_census from the source.
      */
-    RecordBuffer(std::string name, std::uint64_t records,
-                 TailFactory tail_factory);
+    RecordBuffer(std::string name, std::uint64_t code_line_census,
+                 std::uint64_t records, TailFactory tail_factory);
 
     /**
      * Store @p n records at slots [@p start, @p start + n). Plain
@@ -142,6 +143,11 @@ class RecordBuffer
         return rec;
     }
 
+    /** Footprint census of the trace a trace-backed buffer was
+     *  packed from (0 for synthetic buffers, whose cursors count
+     *  lines as they replay, and for traces without a census). */
+    std::uint64_t codeLineCensus() const { return codeLineCensus_; }
+
     /** Words of the unique-code-line bitmap a cursor must allocate
      *  (same sizing as SyntheticExecutor's footprint bitmap; 0 for
      *  trace-backed buffers, which keep no bitmap). */
@@ -170,6 +176,7 @@ class RecordBuffer
     std::vector<std::uint8_t> clsTaken_;
     std::string name_;
     std::uint64_t codeBitmapWords_ = 0;
+    std::uint64_t codeLineCensus_ = 0;
     std::unique_ptr<SyntheticExecutor> tail_;
     TailFactory tailFactory_;
 };
@@ -195,9 +202,10 @@ class ReplayCursor final : public TraceSource
     std::uint64_t position() const { return pos_; }
 
     /** Unique 64 B instruction lines touched so far — matches the
-     *  live executor's count at the same position exactly. Always 0
-     *  for trace-backed buffers (no bitmap; see RecordBuffer). */
-    std::uint64_t uniqueCodeLines() const;
+     *  live executor's count at the same position exactly. A
+     *  trace-backed buffer keeps no bitmap and reports its source's
+     *  census (RecordBuffer::codeLineCensus). */
+    std::uint64_t uniqueCodeLines() const override;
 
     /** True once the cursor ran past the buffer and switched to the
      *  tail continuation (diagnostic; should not happen when the

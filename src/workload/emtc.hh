@@ -209,6 +209,14 @@ class PackedTraceSource final : public trace::TraceSource
 
     const TraceInfo &info() const { return info_; }
 
+    /** The container's pack-time census (the streamed window does
+     *  not count lines itself). */
+    std::uint64_t
+    uniqueCodeLines() const override
+    {
+        return info_.uniqueCodeLines;
+    }
+
     /** Records in the served (post skip/limit) window. */
     std::uint64_t recordCount() const { return count_; }
 

@@ -194,15 +194,17 @@ TEST(Emtc, StreamingRunMatchesBufferedEmtrRun)
     const auto l2 = replacement::PolicySpec::parse("P(8):S&E");
     const auto l1i = replacement::PolicySpec::parse("TPLRU");
 
-    core::RunInstrumentation emtr_instr;
+    core::RunObservers emtr_instr;
     trace::FileTraceSource emtr_source(emtr_path);
-    core::Metrics emtr_metrics = core::runPolicy(
-        emtr_source, l2, l1i, options, &emtr_instr);
+    core::Metrics emtr_metrics =
+        core::execute(emtr_source, {{l2}, l1i, options}, &emtr_instr)
+            .front();
 
-    core::RunInstrumentation emtc_instr;
+    core::RunObservers emtc_instr;
     workload::PackedTraceSource emtc_source(emtc_path);
-    core::Metrics emtc_metrics = core::runPolicy(
-        emtc_source, l2, l1i, options, &emtc_instr);
+    core::Metrics emtc_metrics =
+        core::execute(emtc_source, {{l2}, l1i, options}, &emtc_instr)
+            .front();
 
     // The sources describe themselves differently; everything the
     // simulation computed must not.

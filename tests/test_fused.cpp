@@ -1,14 +1,12 @@
 /**
  * @file
- * Tests for the fused multi-policy sweep (core::runPolicyGroup and
- * runGrid's fused engine).
+ * Tests for the fused multi-policy sweep (multi-lane core::execute
+ * passes and runGrid's fused scheduling).
  *
  * Fidelity contract under test:
  *  - the *timing lane* (first policy of a group) is bit-identical to
- *    a sequential runPolicy of that policy — Metrics and the full
- *    counter registry;
- *  - a single-policy group degenerates to the sequential engine
- *    exactly;
+ *    a one-lane pass of that policy — Metrics and the full counter
+ *    registry;
  *  - *monitor lanes* are invariant to group composition and to the
  *    grid engine's worker count (their inputs are the shared
  *    pipeline's stream plus their own RNG, nothing else);
@@ -114,6 +112,18 @@ packWorkload(const char *name, const RunOptions &options)
                      options.measureInstructions));
 }
 
+/** One trace pass over a fresh cursor of @p buffer. */
+std::vector<Metrics>
+executeOver(const std::shared_ptr<const trace::RecordBuffer> &buffer,
+            const std::vector<replacement::PolicySpec> &specs,
+            const replacement::PolicySpec &l1i,
+            const RunOptions &options,
+            core::RunObservers *observers = nullptr)
+{
+    trace::ReplayCursor cursor(buffer);
+    return core::execute(cursor, {specs, l1i, options}, observers);
+}
+
 TEST(FusedRun, TimingLaneBitIdenticalToSequential)
 {
     const RunOptions options = smallWindow();
@@ -136,14 +146,19 @@ TEST(FusedRun, TimingLaneBitIdenticalToSequential)
             SCOPED_TRACE("timing lane " + rotation.front());
             const auto specs = parseAll(rotation);
 
-            core::RunInstrumentation sequential_instr;
+            core::RunObservers sequential_instr;
             const Metrics sequential =
-                core::runPolicy(buffer, specs.front(), l1i, options,
-                                &sequential_instr);
+                executeOver(buffer, {specs.front()}, l1i, options,
+                            &sequential_instr)
+                    .front();
 
-            std::vector<stats::Registry> registries;
-            const std::vector<Metrics> fused = core::runPolicyGroup(
-                buffer, specs, l1i, options, &registries);
+            core::RunObservers fused_observers;
+            const std::vector<Metrics> fused = executeOver(
+                buffer, specs, l1i, options, &fused_observers);
+            std::vector<stats::Registry> registries =
+                std::move(fused_observers.monitorRegistries);
+            registries.insert(registries.begin(),
+                              std::move(fused_observers.registry));
             ASSERT_EQ(fused.size(), rotation.size());
             ASSERT_EQ(registries.size(), rotation.size());
 
@@ -151,25 +166,6 @@ TEST(FusedRun, TimingLaneBitIdenticalToSequential)
             expectRegistriesIdentical(sequential_instr.registry,
                                       registries.front());
         }
-    }
-}
-
-TEST(FusedRun, SingleLaneGroupMatchesSequential)
-{
-    const RunOptions options = smallWindow();
-    const auto l1i =
-        replacement::PolicySpec::parse(options.l1iPolicy);
-    const auto buffer = packWorkload("verilator", options);
-
-    for (const char *policy : {"TPLRU", "P(8):S&E&R(1/32)"}) {
-        SCOPED_TRACE(policy);
-        const auto spec = replacement::PolicySpec::parse(policy);
-        const Metrics sequential =
-            core::runPolicy(buffer, spec, l1i, options);
-        const std::vector<Metrics> fused =
-            core::runPolicyGroup(buffer, {spec}, l1i, options);
-        ASSERT_EQ(fused.size(), 1u);
-        expectMetricsIdentical(sequential, fused.front());
     }
 }
 
@@ -188,9 +184,9 @@ TEST(FusedRun, MonitorLanesInvariantToGroupComposition)
                                  "P(8):S&E&R(1/32)", "LRU"});
 
     const std::vector<Metrics> few =
-        core::runPolicyGroup(buffer, small, l1i, options);
+        executeOver(buffer, small, l1i, options);
     const std::vector<Metrics> many =
-        core::runPolicyGroup(buffer, large, l1i, options);
+        executeOver(buffer, large, l1i, options);
     expectMetricsIdentical(few.at(1), many.at(3));
     // And the shared timing lane is oblivious to the bank's width.
     expectMetricsIdentical(few.at(0), many.at(0));
@@ -205,9 +201,9 @@ TEST(FusedRun, MonitorLaneTracksSequentialOracle)
     const auto specs = parseAll({"TPLRU", "P(8):S&E&R(1/32)"});
 
     const Metrics oracle =
-        core::runPolicy(buffer, specs.at(1), l1i, options);
+        executeOver(buffer, {specs.at(1)}, l1i, options).front();
     const std::vector<Metrics> fused =
-        core::runPolicyGroup(buffer, specs, l1i, options);
+        executeOver(buffer, specs, l1i, options);
     const Metrics &monitor = fused.at(1);
 
     // Structural sanity: same committed work, plausible cycles.
@@ -246,13 +242,13 @@ TEST(FusedRun, SampledMonitorStaysNearFullMonitor)
     const auto specs = parseAll({"TPLRU", "P(8):S&E&R(1/32)"});
 
     const std::vector<Metrics> full =
-        core::runPolicyGroup(buffer, specs, l1i, options);
+        executeOver(buffer, specs, l1i, options);
 
     for (const unsigned k : {8u, 16u}) {
         SCOPED_TRACE("1-in-" + std::to_string(k));
         options.sampledSets = k;
         const std::vector<Metrics> sampled =
-            core::runPolicyGroup(buffer, specs, l1i, options);
+            executeOver(buffer, specs, l1i, options);
 
         // The timing lane never samples: still bit-identical.
         expectMetricsIdentical(full.at(0), sampled.at(0));

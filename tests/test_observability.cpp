@@ -20,6 +20,7 @@
 #include "stats/registry.hh"
 #include "stats/sampler.hh"
 #include "stats/trace_sink.hh"
+#include "trace/executor.hh"
 #include "trace/program.hh"
 
 namespace emissary::core
@@ -55,6 +56,17 @@ window()
     o.warmupInstructions = 100000;
     o.measureInstructions = 400000;
     return o;
+}
+
+/** One observed one-lane pass over a fresh executor of @p program. */
+Metrics
+observedRun(const trace::SyntheticProgram &program,
+            const replacement::PolicySpec &l2,
+            const replacement::PolicySpec &l1i,
+            const RunOptions &options, RunObservers *observers)
+{
+    trace::SyntheticExecutor executor(program);
+    return execute(executor, {{l2}, l1i, options}, observers).front();
 }
 
 /** Count "event" values per category in a JSONL trace file. */
@@ -119,10 +131,10 @@ TEST(Sampler, CadenceAndToJson)
 TEST(Observability, SamplerSnapshotsDuringRun)
 {
     const trace::SyntheticProgram program(hostileProfile());
-    RunInstrumentation instr;
+    RunObservers instr;
     instr.sampleInterval = 100000;
 
-    const Metrics m = runPolicy(
+    const Metrics m = observedRun(
         program, replacement::PolicySpec::parse("P(8):S&E&R(1/32)"),
         replacement::PolicySpec::parse("TPLRU"), window(), &instr);
 
@@ -160,12 +172,12 @@ TEST(Observability, TraceReconcilesWithRegistry)
     const trace::SyntheticProgram program(hostileProfile());
 
     stats::TraceSink sink(path);
-    RunInstrumentation instr;
+    RunObservers instr;
     instr.traceSink = &sink;
-    runPolicy(program,
-              replacement::PolicySpec::parse("P(8):S&E&R(1/32)"),
-              replacement::PolicySpec::parse("TPLRU"), window(),
-              &instr);
+    observedRun(program,
+                replacement::PolicySpec::parse("P(8):S&E&R(1/32)"),
+                replacement::PolicySpec::parse("TPLRU"), window(),
+                &instr);
     sink.close();
 
     // Replay check: per-category event counts in the file must equal
@@ -198,12 +210,12 @@ TEST(Observability, TraceCategoryFilter)
     const trace::SyntheticProgram program(hostileProfile());
 
     stats::TraceSink sink(path, {"l2_fill"});
-    RunInstrumentation instr;
+    RunObservers instr;
     instr.traceSink = &sink;
-    runPolicy(program,
-              replacement::PolicySpec::parse("P(8):S&E&R(1/32)"),
-              replacement::PolicySpec::parse("TPLRU"), window(),
-              &instr);
+    observedRun(program,
+                replacement::PolicySpec::parse("P(8):S&E&R(1/32)"),
+                replacement::PolicySpec::parse("TPLRU"), window(),
+                &instr);
     sink.close();
 
     const auto replayed = traceCounts(path);
@@ -216,8 +228,8 @@ TEST(Observability, TraceCategoryFilter)
 TEST(Observability, RegistryExportMatchesMetrics)
 {
     const trace::SyntheticProgram program(hostileProfile());
-    RunInstrumentation instr;
-    const Metrics m = runPolicy(
+    RunObservers instr;
+    const Metrics m = observedRun(
         program, replacement::PolicySpec::parse("TPLRU"),
         replacement::PolicySpec::parse("TPLRU"), window(), &instr);
 
@@ -249,10 +261,10 @@ TEST(Observability, DisabledByDefaultCostsNothing)
 
     // Identical results with and without the instrumentation struct:
     // observability must not perturb the simulation.
-    RunInstrumentation instr;
+    RunObservers instr;
     const Metrics plain =
         runPolicy(program, "P(8):S&E&R(1/32)", o);
-    const Metrics observed = runPolicy(
+    const Metrics observed = observedRun(
         program, replacement::PolicySpec::parse("P(8):S&E&R(1/32)"),
         replacement::PolicySpec::parse("TPLRU"), o, &instr);
     EXPECT_EQ(plain.cycles, observed.cycles);

@@ -4,8 +4,8 @@
  * executor's stream exactly, ReplayCursor must decode it (and fall
  * back to the tail snapshot on overrun) without perturbing a single
  * field, and — the headline determinism contract — a replayed
- * runPolicy must produce bit-identical Metrics and registry counters
- * to a live run. The grid engine's replay path is checked against a
+ * core::execute pass must produce bit-identical Metrics and registry
+ * counters to a live one. The grid engine's replay path is checked against a
  * budget-disabled live grid the same way.
  *
  * buildTraceReplay's parallel EMTC span decode must produce a buffer
@@ -41,7 +41,7 @@ namespace
 {
 
 using core::Metrics;
-using core::RunInstrumentation;
+using core::RunObservers;
 using core::RunOptions;
 
 void
@@ -179,17 +179,21 @@ expectReplayMatchesLive(const trace::WorkloadProfile &profile,
     const auto l1i = replacement::PolicySpec::parse(options.l1iPolicy);
 
     const trace::SyntheticProgram program(profile);
-    RunInstrumentation live_instr;
+    RunObservers live_instr;
+    trace::SyntheticExecutor executor(program);
     const Metrics live =
-        core::runPolicy(program, l2, l1i, options, &live_instr);
+        core::execute(executor, {{l2}, l1i, options}, &live_instr)
+            .front();
 
     auto buffer = std::make_shared<const trace::RecordBuffer>(
         program, trace::RecordBuffer::recordsForWindow(
                      options.warmupInstructions +
                      options.measureInstructions));
-    RunInstrumentation replay_instr;
+    RunObservers replay_instr;
+    trace::ReplayCursor cursor(buffer);
     const Metrics replay =
-        core::runPolicy(buffer, l2, l1i, options, &replay_instr);
+        core::execute(cursor, {{l2}, l1i, options}, &replay_instr)
+            .front();
 
     expectMetricsIdentical(live, replay);
     expectRegistriesIdentical(live_instr.registry,

@@ -145,16 +145,46 @@ TEST(TraceFile, RecordedThenReplayedRunIsBitIdentical)
         SyntheticExecutor executor(program);
         TraceWriter writer(path);
         RecordingSource tee(executor, writer);
-        live = core::runPolicy(tee, l2, l1i, options);
+        live = core::execute(tee, {{l2}, l1i, options}).front();
         writer.finish();
     }
 
     // Replaying the recording must reproduce the run bit-exactly.
     FileTraceSource replay(path);
     core::Metrics replayed =
-        core::runPolicy(replay, l2, l1i, options);
+        core::execute(replay, {{l2}, l1i, options}).front();
     replayed.benchmark = live.benchmark;
     EXPECT_EQ(replayed.toJson().dump(), live.toJson().dump());
+    std::remove(path.c_str());
+}
+
+TEST(TraceFile, RecordingRunKeepsTheExecutorFootprint)
+{
+    const std::string path = tempPath("record_footprint");
+    const SyntheticProgram program(tinyProfile());
+
+    core::RunPlan plan;
+    plan.l2Specs = {replacement::PolicySpec::parse("P(8):S&E")};
+    plan.l1iSpec = replacement::PolicySpec::parse("TPLRU");
+    plan.options.warmupInstructions = 10'000;
+    plan.options.measureInstructions = 40'000;
+
+    SyntheticExecutor bare(program);
+    const core::Metrics plain = core::execute(bare, plan).front();
+
+    // Teeing the stream to disk must not change a single metric —
+    // the Fig. 4 footprint included, which the tee forwards from the
+    // executor it wraps.
+    core::Metrics recorded;
+    {
+        SyntheticExecutor executor(program);
+        TraceWriter writer(path);
+        RecordingSource tee(executor, writer);
+        recorded = core::execute(tee, plan).front();
+        writer.finish();
+    }
+    EXPECT_GT(plain.codeFootprintLines, 0u);
+    EXPECT_EQ(recorded.toJson().dump(), plain.toJson().dump());
     std::remove(path.c_str());
 }
 

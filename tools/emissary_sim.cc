@@ -43,8 +43,8 @@
 #include "core/experiment.hh"
 #include "core/grid.hh"
 #include "core/observability.hh"
+#include "core/replay_build.hh"
 #include "core/result_cache.hh"
-#include "core/simulator.hh"
 #include "core/threadpool.hh"
 #include "stats/chrome_trace.hh"
 #include "stats/json.hh"
@@ -54,6 +54,7 @@
 #include "stats/trace_sink.hh"
 #include "trace/executor.hh"
 #include "trace/file.hh"
+#include "util/bitutil.hh"
 #include "util/strutil.hh"
 #include "workload/emtc.hh"
 
@@ -301,10 +302,10 @@ main(int argc, char **argv)
     std::string catalog_path;
     std::string benchmarks_csv;
     std::string policies_csv;
-    core::MachineOptions machine_options;
+    std::string l2_policy = "TPLRU";
+    core::RunOptions run_options;
     std::uint64_t instructions = 1'500'000;
     std::uint64_t warmup = 0;
-    std::uint64_t reset = 0;
     unsigned jobs = 0;
     bool fused = false;
     bool fast_mode = false;
@@ -317,6 +318,9 @@ main(int argc, char **argv)
     std::string trace_out_path;
     std::string trace_categories_csv;
     std::uint64_t sample_interval = 0;
+    // Sweep-only flags given, in command-line order: a single run
+    // rejects them instead of silently ignoring them.
+    std::vector<std::string> sweep_flags;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -328,6 +332,10 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        if (arg == "--jobs" || arg == "--fused" || arg == "--fast-mode" ||
+            arg == "--sampled-sets" || arg == "--cache-dir" ||
+            arg == "--progress")
+            sweep_flags.push_back(arg);
         if (arg == "--benchmark") {
             benchmark = value();
         } else if (arg == "--list") {
@@ -341,7 +349,7 @@ main(int argc, char **argv)
         } else if (arg == "--catalog") {
             catalog_path = value();
         } else if (arg == "--policy") {
-            machine_options.l2Policy = value();
+            l2_policy = value();
         } else if (arg == "--benchmarks") {
             benchmarks_csv = value();
         } else if (arg == "--policies") {
@@ -354,10 +362,17 @@ main(int argc, char **argv)
             fast_mode = true;
         } else if (arg == "--sampled-sets") {
             sampled_sets = parseUnsigned(arg, value());
+            if (sampled_sets > 1 && !isPowerOfTwo(sampled_sets)) {
+                std::fprintf(stderr,
+                             "--sampled-sets: %u is not a power of "
+                             "two\n",
+                             sampled_sets);
+                return 2;
+            }
         } else if (arg == "--cache-dir") {
             cache_dir = value();
         } else if (arg == "--l1i-policy") {
-            machine_options.l1iPolicy = value();
+            run_options.l1iPolicy = value();
         } else if (arg == "--instructions") {
             instructions = parseU64(arg, value());
         } else if (arg == "--warmup") {
@@ -375,19 +390,20 @@ main(int argc, char **argv)
         } else if (arg == "--trace-categories") {
             trace_categories_csv = value();
         } else if (arg == "--no-fdip") {
-            machine_options.fdip = false;
+            run_options.fdip = false;
         } else if (arg == "--no-nlp") {
-            machine_options.nextLinePrefetch = false;
+            run_options.nextLinePrefetch = false;
         } else if (arg == "--ideal-l2i") {
-            machine_options.idealL2Inst = true;
+            run_options.idealL2Inst = true;
         } else if (arg == "--true-lru") {
-            machine_options.emissaryTreePlru = false;
+            run_options.emissaryTreePlru = false;
         } else if (arg == "--bypass") {
-            machine_options.bypassLowPriorityInst = true;
+            run_options.bypassLowPriorityInst = true;
         } else if (arg == "--reset") {
-            reset = parseU64(arg, value());
+            run_options.priorityResetInstructions =
+                parseU64(arg, value());
         } else if (arg == "--seed") {
-            machine_options.seed = parseU64(arg, value());
+            run_options.seed = parseU64(arg, value());
         } else if (arg == "--csv") {
             csv = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -401,24 +417,11 @@ main(int argc, char **argv)
     }
 
     try {
-        // Everything the grid engine needs for one cell.
-        core::RunOptions run_options;
         run_options.measureInstructions = instructions;
         run_options.warmupInstructions =
             warmup > 0 ? warmup : instructions / 4;
-        run_options.l1iPolicy = machine_options.l1iPolicy;
-        run_options.fdip = machine_options.fdip;
-        run_options.nextLinePrefetch =
-            machine_options.nextLinePrefetch;
-        run_options.idealL2Inst = machine_options.idealL2Inst;
-        run_options.emissaryTreePlru =
-            machine_options.emissaryTreePlru;
-        run_options.bypassLowPriorityInst =
-            machine_options.bypassLowPriorityInst;
-        run_options.priorityResetInstructions = reset;
-        run_options.seed = machine_options.seed;
 
-        // Observability attachments (single-run paths). Categories
+        // Observability attachments (single runs). Categories
         // are validated up front so a typo is a usage error, not a
         // silently empty trace.
         std::vector<std::string> trace_categories;
@@ -476,9 +479,7 @@ main(int argc, char **argv)
             }
             std::vector<std::string> policies;
             for (const std::string &raw :
-                 split(policies_csv.empty()
-                           ? machine_options.l2Policy
-                           : policies_csv,
+                 split(policies_csv.empty() ? l2_policy : policies_csv,
                        ',')) {
                 const std::string spec = trim(raw);
                 if (!spec.empty())
@@ -568,89 +569,36 @@ main(int argc, char **argv)
             return 0;
         }
 
-        if (!cache_dir.empty()) {
-            std::fprintf(stderr, "--cache-dir applies to sweeps "
-                                 "(--benchmarks/--policies/--catalog), "
-                                 "not single runs\n");
+        if (!sweep_flags.empty()) {
+            std::fprintf(stderr,
+                         "%s applies to sweeps (--benchmarks/"
+                         "--policies/--catalog), not single runs\n",
+                         sweep_flags.front().c_str());
             return 2;
         }
 
-        // Single synthetic run with no recording: one instrumented
-        // runPolicy call.
-        if (trace_path.empty() && record_path.empty()) {
-            const trace::SyntheticProgram program(
-                trace::profileByName(benchmark));
-            core::RunInstrumentation instr;
-            instr.sampleInterval = sample_interval;
-            std::unique_ptr<stats::TraceSink> sink;
-            if (!trace_out_path.empty()) {
-                sink = std::make_unique<stats::TraceSink>(
-                    trace_out_path, trace_categories);
-                instr.traceSink = sink.get();
-            }
-            std::unique_ptr<stats::SpanRecorder> flight;
-            if (!perf_trace_path.empty()) {
-                flight = std::make_unique<stats::SpanRecorder>();
-                flight->labelThread("main");
-            }
-            core::Metrics m;
-            {
-                stats::ScopedTimer span(flight.get(), "run");
-                span.arg("benchmark", stats::JsonValue(benchmark));
-                span.arg("policy", stats::JsonValue(
-                                       machine_options.l2Policy));
-                core::RunTelemetry telemetry;
-                telemetry.spans = flight.get();
-                m = core::runPolicy(
-                    program,
-                    replacement::PolicySpec::parse(
-                        machine_options.l2Policy),
-                    replacement::PolicySpec::parse(
-                        run_options.l1iPolicy),
-                    run_options, &instr, &telemetry);
-            }
-            if (flight)
-                stats::ChromeTraceWriter::write(perf_trace_path,
-                                                *flight);
-            if (sink)
-                sink->close();
-            if (stats_json_path != "-")
-                printMetrics(m, csv);
-            if (!stats_json_path.empty())
-                writeJsonOut(
-                    stats_json_path,
-                    runJson(m, run_options, instr.registry,
-                            instr.sampler, instr.wallSeconds));
-            return 0;
-        }
-
-        // Trace replay / recording keeps the direct simulator path:
-        // file sources are stateful and cannot be grid cells.
+        // Single run: one source — a live synthetic executor, an EMTC
+        // container or an EMTR file, optionally tee'd to --record —
+        // driven by one execute call.
         std::unique_ptr<trace::SyntheticProgram> program;
         std::unique_ptr<trace::TraceSource> base_source;
         workload::PackedTraceSource *packed_source = nullptr;
         trace::FileTraceSource *file_source = nullptr;
-        if (!trace_path.empty()) {
-            const std::string emtc = ".emtc";
-            if (trace_path.size() >= emtc.size() &&
-                trace_path.compare(trace_path.size() - emtc.size(),
-                                   emtc.size(), emtc) == 0) {
-                auto packed =
-                    std::make_unique<workload::PackedTraceSource>(
-                        trace_path);
-                packed_source = packed.get();
-                base_source = std::move(packed);
-            } else {
-                auto file = std::make_unique<trace::FileTraceSource>(
-                    trace_path);
-                file_source = file.get();
-                base_source = std::move(file);
-            }
-        } else {
+        if (trace_path.empty()) {
             program = std::make_unique<trace::SyntheticProgram>(
                 trace::profileByName(benchmark));
             base_source =
                 std::make_unique<trace::SyntheticExecutor>(*program);
+        } else if (core::isPackedTracePath(trace_path)) {
+            auto packed =
+                std::make_unique<workload::PackedTraceSource>(trace_path);
+            packed_source = packed.get();
+            base_source = std::move(packed);
+        } else {
+            auto file =
+                std::make_unique<trace::FileTraceSource>(trace_path);
+            file_source = file.get();
+            base_source = std::move(file);
         }
         std::unique_ptr<trace::TraceWriter> writer;
         std::unique_ptr<trace::RecordingSource> recorder;
@@ -663,59 +611,45 @@ main(int argc, char **argv)
             source = recorder.get();
         }
 
-        core::Simulator::Config config;
-        config.machine = core::alderlakeConfig(machine_options);
-        config.measureInstructions = instructions;
-        config.warmupInstructions = run_options.warmupInstructions;
-        config.priorityResetInstructions = reset;
-        config.sampleInterval = sample_interval;
-
-        core::Simulator simulator(config, *source);
+        core::RunPlan plan;
+        plan.l2Specs = {replacement::PolicySpec::parse(l2_policy)};
+        plan.l1iSpec =
+            replacement::PolicySpec::parse(run_options.l1iPolicy);
+        plan.options = run_options;
+        core::RunObservers observers;
+        observers.sampleInterval = sample_interval;
         std::unique_ptr<stats::TraceSink> sink;
         if (!trace_out_path.empty()) {
             sink = std::make_unique<stats::TraceSink>(
                 trace_out_path, trace_categories);
-            simulator.setTraceSink(sink.get());
+            observers.traceSink = sink.get();
         }
         std::unique_ptr<stats::SpanRecorder> flight;
         if (!perf_trace_path.empty()) {
             flight = std::make_unique<stats::SpanRecorder>();
             flight->labelThread("main");
+            observers.spans = flight.get();
         }
-        const auto run_start = std::chrono::steady_clock::now();
         core::Metrics m;
         {
             stats::ScopedTimer span(flight.get(), "run");
-            span.arg("policy",
-                     stats::JsonValue(machine_options.l2Policy));
-            m = simulator.run();
+            span.arg("benchmark", stats::JsonValue(source->name()));
+            span.arg("policy", stats::JsonValue(l2_policy));
+            m = core::execute(*source, plan, &observers).front();
         }
-        const double wall_seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - run_start)
-                .count();
         if (flight)
-            stats::ChromeTraceWriter::write(perf_trace_path,
-                                            *flight);
+            stats::ChromeTraceWriter::write(perf_trace_path, *flight);
         if (sink)
             sink->close();
         if (writer)
             writer->finish();
 
-        // An EMTC container carries the pack-time footprint census
-        // the streaming replay cannot count itself.
-        if (packed_source)
-            m.codeFootprintLines =
-                packed_source->info().uniqueCodeLines;
-
         if (stats_json_path != "-")
             printMetrics(m, csv);
         if (!stats_json_path.empty()) {
-            stats::Registry registry;
-            simulator.exportRegistry(registry);
             stats::JsonValue doc =
-                runJson(m, run_options, registry,
-                        simulator.sampler(), wall_seconds);
+                runJson(m, run_options, observers.registry,
+                        observers.sampler, observers.wallSeconds);
             if (!trace_path.empty()) {
                 // Trace provenance: which file fed the run and how
                 // it was consumed.
