@@ -5,7 +5,7 @@
 # smoke, throughput, tracepack and cellcache run in one job; asan,
 # tsan and lto each run in a job of their own.
 #
-#   1. Release build + full test suite
+#   1. Release build (warnings are errors) + full test suite
 #   2. Observability smoke: --stats-json / --sample-interval /
 #      --trace-out output must parse and carry the expected keys; a
 #      --record run must report the same metrics as the plain run;
@@ -49,10 +49,10 @@ configure_build_test() {
 for stage in $STAGES; do
     case "$stage" in
     release)
-        run_stage "Release build + tests"
+        run_stage "Release build (-Werror) + tests"
         CTEST_ARGS=()
         configure_build_test build-ci-release \
-            -DCMAKE_BUILD_TYPE=Release
+            -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
         ;;
     smoke)
         run_stage "observability smoke run"

@@ -19,9 +19,10 @@ mixPc(std::uint64_t pc)
 } // namespace
 
 Backend::Backend(const Config &config, cache::Hierarchy &hierarchy)
-    : config_(config), hierarchy_(hierarchy)
+    : config_(config), hierarchy_(hierarchy), rob_(config.robEntries)
 {
     completionRing_.assign(kRingSize, 0);
+    wheel_.resize(kWheelSlots);
 }
 
 std::uint64_t
@@ -45,6 +46,27 @@ Backend::depReady(std::uint64_t seq, std::uint64_t pc) const
     return completionRing_[(seq - distance) % kRingSize];
 }
 
+void
+Backend::noteDecodeEmpty(std::uint64_t cycles,
+                         std::optional<std::uint64_t> pending_line)
+{
+    // Decode starvation (§3): the decode stage wants to pull but the
+    // queue feeding it is empty. It only counts as starvation when
+    // the back-end could actually accept instructions (a stalled
+    // decode cannot starve).
+    if (!canAccept())
+        return;
+    if (pending_line) {
+        stats_.starvationCycles += cycles;
+        const bool iq_empty = issueQueueEmpty();
+        if (iq_empty)
+            stats_.starvationIqEmptyCycles += cycles;
+        hierarchy_.noteStarvation(*pending_line, iq_empty, cycles);
+    } else {
+        stats_.resteerEmptyCycles += cycles;
+    }
+}
+
 bool
 Backend::canAccept() const
 {
@@ -60,30 +82,14 @@ Backend::issueStage(std::uint64_t now,
                     std::optional<std::uint64_t> pending_line)
 {
     if (decode_queue.empty()) {
-        // Decode starvation (§3): the decode stage wants to pull but
-        // the queue feeding it is empty. It only counts as starvation
-        // when the back-end could actually accept instructions (a
-        // stalled decode cannot starve).
-        if (canAccept()) {
-            if (pending_line) {
-                ++stats_.starvationCycles;
-                const bool iq_empty = issueQueueEmpty();
-                if (iq_empty)
-                    ++stats_.starvationIqEmptyCycles;
-                hierarchy_.noteStarvation(*pending_line, iq_empty);
-            } else {
-                ++stats_.resteerEmptyCycles;
-            }
-        }
+        noteDecodeEmpty(1, pending_line);
         return;
     }
 
     unsigned moved = 0;
     while (moved < config_.width && !decode_queue.empty() &&
            canAccept()) {
-        const core::DynInst inst = decode_queue.front();
-        decode_queue.pop_front();
-
+        const core::DynInst &inst = decode_queue.front();
         const std::uint64_t dep = depReady(inst.seq, inst.rec.pc);
         const std::uint64_t start = std::max(now, dep);
         std::uint64_t complete;
@@ -141,8 +147,12 @@ Backend::issueStage(std::uint64_t now,
 
         completionRing_[inst.seq % kRingSize] = complete;
         rob_.push_back(RobEntry{inst.seq, complete, is_store});
-        pending_.push(Pending{complete, inst.seq, is_load,
-                              inst.mispredicted});
+        scheduleCompletion(complete, is_load);
+        if (inst.mispredicted) {
+            assert(!mispredict_);
+            mispredict_ = Mispredict{inst.seq, complete};
+        }
+        decode_queue.pop_front();
         ++inFlightExec_;
         ++stats_.issued;
         ++moved;
@@ -152,24 +162,80 @@ Backend::issueStage(std::uint64_t now,
 }
 
 void
+Backend::scheduleCompletion(std::uint64_t cycle, bool is_load)
+{
+    const std::uint64_t due = std::max(cycle, wheelBase_);
+    if (due - wheelBase_ >= kWheelSlots) {
+        overflow_.emplace(cycle, is_load);
+        return;
+    }
+    const unsigned slot = static_cast<unsigned>(due % kWheelSlots);
+    ++wheel_[slot].instrs;
+    if (is_load)
+        ++wheel_[slot].loads;
+    wheelOccupied_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    wheelNext_ = std::min(wheelNext_, due);
+}
+
+std::uint64_t
+Backend::scanWheel() const
+{
+    // Scan the occupancy bits circularly from wheelBase_'s slot; a
+    // slot's distance from it is its cycle's distance from
+    // wheelBase_.
+    const unsigned start =
+        static_cast<unsigned>(wheelBase_ % kWheelSlots);
+    unsigned word = start / 64;
+    std::uint64_t bits = wheelOccupied_[word] & (~std::uint64_t{0}
+                                                 << (start % 64));
+    for (unsigned n = 0; n <= kWheelWords; ++n) {
+        if (bits != 0) {
+            const unsigned slot =
+                word * 64 + static_cast<unsigned>(__builtin_ctzll(bits));
+            return wheelBase_ + ((slot - start) % kWheelSlots);
+        }
+        word = (word + 1) % kWheelWords;
+        bits = wheelOccupied_[word];
+    }
+    return kNever;
+}
+
+void
 Backend::executeStage(std::uint64_t now)
 {
     bool any = false;
-    while (!pending_.empty() && pending_.top().cycle <= now) {
-        const Pending done = pending_.top();
-        pending_.pop();
+    while (wheelNext_ <= now) {
+        const unsigned slot =
+            static_cast<unsigned>(wheelNext_ % kWheelSlots);
+        WheelSlot &done = wheel_[slot];
+        assert(inFlightExec_ >= done.instrs);
+        assert(lqOccupancy_ >= done.loads);
+        inFlightExec_ -= done.instrs;
+        lqOccupancy_ -= done.loads;
+        done = WheelSlot{};
+        wheelOccupied_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+        wheelBase_ = wheelNext_ + 1;
+        wheelNext_ = scanWheel();
+        any = true;
+    }
+    if (now >= wheelBase_)
+        wheelBase_ = now + 1;
+    while (!overflow_.empty() && overflow_.top().first <= now) {
         assert(inFlightExec_ > 0);
         --inFlightExec_;
-        if (done.isLoad) {
+        if (overflow_.top().second) {
             assert(lqOccupancy_ > 0);
             --lqOccupancy_;
         }
-        if (done.mispredicted) {
-            ++stats_.branchesResolved;
-            if (resolve_)
-                resolve_(done.seq, done.cycle);
-        }
+        overflow_.pop();
         any = true;
+    }
+    if (mispredict_ && mispredict_->cycle <= now) {
+        const Mispredict done = *mispredict_;
+        mispredict_.reset();
+        ++stats_.branchesResolved;
+        if (resolve_)
+            resolve_(done.seq, done.cycle);
     }
     if (any)
         ++stats_.issueActiveCycles;
@@ -196,6 +262,32 @@ Backend::commitStage(std::uint64_t now)
         else
             ++stats_.beStallCycles;
     }
+}
+
+std::uint64_t
+Backend::nextEvent(std::uint64_t now, bool decode_queue_empty) const
+{
+    if (!decode_queue_empty && canAccept())
+        return now;
+    std::uint64_t next = wheelNext_;
+    if (!overflow_.empty())
+        next = std::min(next, overflow_.top().first);
+    if (!rob_.empty())
+        next = std::min(next, rob_.front().completeCycle);
+    return next;
+}
+
+void
+Backend::accrueIdleCycles(std::uint64_t cycles, bool decode_queue_empty,
+                          std::optional<std::uint64_t> pending_line)
+{
+    stats_.cycles += cycles;
+    if (rob_.empty())
+        stats_.feStallCycles += cycles;
+    else
+        stats_.beStallCycles += cycles;
+    if (decode_queue_empty)
+        noteDecodeEmpty(cycles, pending_line);
 }
 
 } // namespace emissary::backend

@@ -15,15 +15,18 @@
 #ifndef EMISSARY_BACKEND_BACKEND_HH
 #define EMISSARY_BACKEND_BACKEND_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <queue>
 #include <vector>
 
 #include "cache/hierarchy.hh"
 #include "core/inst.hh"
+#include "util/ring.hh"
 
 namespace emissary::backend
 {
@@ -116,6 +119,10 @@ class Backend
         resolve_ = std::move(cb);
     }
 
+    /** A cycle no event is scheduled for. */
+    static constexpr std::uint64_t kNever =
+        std::numeric_limits<std::uint64_t>::max();
+
     /** Retire up to width completed instructions; classify stalls. */
     void commitStage(std::uint64_t now);
 
@@ -140,6 +147,26 @@ class Backend
 
     bool robEmpty() const { return rob_.empty(); }
 
+    /**
+     * Earliest cycle >= @p now at which a back-end stage can change
+     * state: @p now itself when dispatch can move an instruction,
+     * else the next execution completion or ROB-head retirement
+     * (kNever when nothing is in flight). Every cycle before it is
+     * idle: the stages only count it (see accrueIdleCycles).
+     */
+    std::uint64_t nextEvent(std::uint64_t now,
+                            bool decode_queue_empty) const;
+
+    /**
+     * Account @p cycles idle cycles in one step, exactly as that many
+     * commitStage/issueStage calls would in cycles where nothing
+     * completes, retires or dispatches: the cycle count, the stall
+     * class, and decode starvation blamed on @p pending_line (which
+     * stays constant over an idle span).
+     */
+    void accrueIdleCycles(std::uint64_t cycles, bool decode_queue_empty,
+                          std::optional<std::uint64_t> pending_line);
+
     BackendStats &stats() { return stats_; }
     const BackendStats &stats() const { return stats_; }
 
@@ -155,30 +182,68 @@ class Backend
     std::uint64_t depReady(std::uint64_t seq,
                            std::uint64_t pc) const;
 
+    /** Decode found the queue empty for @p cycles cycles: count
+     *  starvation or a re-steer shadow when dispatch could accept. */
+    void noteDecodeEmpty(std::uint64_t cycles,
+                         std::optional<std::uint64_t> pending_line);
+
+    /** Schedule one execution completion at @p cycle. */
+    void scheduleCompletion(std::uint64_t cycle, bool is_load);
+
+    /** First cycle >= wheelBase_ with completions in the wheel, or
+     *  kNever (a scan of the occupancy bits). */
+    std::uint64_t scanWheel() const;
+
     Config config_;
     cache::Hierarchy &hierarchy_;
     ResolveCallback resolve_;
 
-    std::deque<RobEntry> rob_;
+    FixedRing<RobEntry> rob_;
     unsigned lqOccupancy_ = 0;
     unsigned sqOccupancy_ = 0;
     unsigned inFlightExec_ = 0;
 
-    /** (completeCycle, seq, isLoad, mispredicted) min-heap. */
-    struct Pending
+    /**
+     * Execution completions as a per-cycle count wheel: slot
+     * (cycle mod kWheelSlots) holds how many instructions, and how
+     * many of them loads, complete in that cycle. The wheel covers
+     * cycles [wheelBase_, wheelBase_ + kWheelSlots); executeStage
+     * drains every slot up to its cycle and moves wheelBase_ past it.
+     * A completion is scheduled no earlier than wheelBase_, so one
+     * that falls in an already executed cycle completes at the next
+     * executeStage call, as it would from a min-heap.
+     */
+    static constexpr unsigned kWheelSlots = 1024;
+    static constexpr unsigned kWheelWords = kWheelSlots / 64;
+    struct WheelSlot
     {
-        std::uint64_t cycle;
-        std::uint64_t seq;
-        bool isLoad;
-        bool mispredicted;
-        bool operator>(const Pending &o) const
-        {
-            return cycle > o.cycle;
-        }
+        std::uint32_t instrs = 0;
+        std::uint32_t loads = 0;
     };
-    std::priority_queue<Pending, std::vector<Pending>,
-                        std::greater<Pending>>
-        pending_;
+    std::vector<WheelSlot> wheel_;
+    /** Bit per slot: set while the slot holds completions. */
+    std::array<std::uint64_t, kWheelWords> wheelOccupied_{};
+    std::uint64_t wheelBase_ = 0;
+    /** scanWheel(), kept current as completions come and go. */
+    std::uint64_t wheelNext_ = kNever;
+
+    /** Completions at or beyond the wheel's horizon when scheduled
+     *  (long dependence or pointer-chasing chains): (cycle, isLoad)
+     *  min-heap. */
+    using Overflow = std::pair<std::uint64_t, bool>;
+    std::priority_queue<Overflow, std::vector<Overflow>,
+                        std::greater<Overflow>>
+        overflow_;
+
+    /** The in-flight mispredicted branch. There is at most one: the
+     *  front end stops forming blocks at a mispredict until it
+     *  resolves. Its completion is also counted in the wheel. */
+    struct Mispredict
+    {
+        std::uint64_t seq = 0;
+        std::uint64_t cycle = 0;
+    };
+    std::optional<Mispredict> mispredict_;
 
     /** Ring buffer of recent completion times for pseudo-deps. */
     static constexpr unsigned kRingSize = 128;

@@ -172,19 +172,20 @@ Hierarchy::setLanes(PolicyLaneBank *lanes)
 }
 
 void
-Hierarchy::noteStarvation(std::uint64_t line_addr, bool iq_empty)
+Hierarchy::noteStarvation(std::uint64_t line_addr, bool iq_empty,
+                          std::uint64_t cycles)
 {
     const auto it = mshr_.find(line_addr);
     if (it == mshr_.end())
         return;
     it->second.starved = true;
     it->second.iqEmpty = it->second.iqEmpty || iq_empty;
-    ++it->second.starveCycles;
-    ++stats_.starvationNotes;
+    it->second.starveCycles += static_cast<std::uint32_t>(cycles);
+    stats_.starvationNotes += cycles;
     if (starvationMapEnabled_)
-        ++starvationByLine_[line_addr];
+        starvationByLine_[line_addr] += cycles;
     if (observer_)
-        observer_->onStarvationCycle(line_addr);
+        observer_->onStarvationCycles(line_addr, cycles);
 }
 
 void

@@ -52,6 +52,14 @@ class HierarchyObserver
     virtual void onL2InstMiss(std::uint64_t line_addr) = 0;
     /** One decode-starvation cycle blamed on @p line_addr. */
     virtual void onStarvationCycle(std::uint64_t line_addr) = 0;
+    /** @p cycles consecutive decode-starvation cycles blamed on
+     *  @p line_addr; default: one onStarvationCycle per cycle. */
+    virtual void
+    onStarvationCycles(std::uint64_t line_addr, std::uint64_t cycles)
+    {
+        for (std::uint64_t i = 0; i < cycles; ++i)
+            onStarvationCycle(line_addr);
+    }
     /** A fetch-path L2 instruction access (hit or miss); default
      *  no-op so existing observers are unaffected. */
     virtual void
@@ -225,14 +233,26 @@ class Hierarchy
                               RequestKind kind = RequestKind::Demand);
 
     /**
-     * Record that decode starved this cycle while waiting on
-     * @p line_addr; @p iq_empty is the issue-queue-empty signal E.
-     * No-op when the line has no outstanding miss.
+     * Record that decode starved for @p cycles consecutive cycles
+     * (this one, by default) while waiting on @p line_addr; @p
+     * iq_empty is the issue-queue-empty signal E. No-op when the
+     * line has no outstanding miss.
      */
-    void noteStarvation(std::uint64_t line_addr, bool iq_empty);
+    void noteStarvation(std::uint64_t line_addr, bool iq_empty,
+                        std::uint64_t cycles = 1);
 
     /** Apply fills whose completion time has been reached. */
     void tick(std::uint64_t now);
+
+    /** Earliest cycle a tick() may apply a fill at (the max value
+     *  when no miss is outstanding). */
+    std::uint64_t
+    nextCompletion() const
+    {
+        return completions_.empty()
+                   ? ~std::uint64_t{0}
+                   : completions_.top().first;
+    }
 
     /** Force-complete every outstanding fill (end of simulation). */
     void drain();

@@ -1,5 +1,6 @@
 #include "core/simulator.hh"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -20,8 +21,20 @@ Simulator::TraceAdapter::onL2InstMiss(std::uint64_t line_addr)
 void
 Simulator::TraceAdapter::onStarvationCycle(std::uint64_t line_addr)
 {
-    if (armed_ && sim_.traceSink_)
-        sim_.traceSink_->eventLine("starvation", sim_.now_, line_addr);
+    onStarvationCycles(line_addr, 1);
+}
+
+void
+Simulator::TraceAdapter::onStarvationCycles(std::uint64_t line_addr,
+                                            std::uint64_t cycles)
+{
+    // A span of starvation is noted at its first cycle (now_), one
+    // event per cycle.
+    if (!armed_ || !sim_.traceSink_)
+        return;
+    for (std::uint64_t i = 0; i < cycles; ++i)
+        sim_.traceSink_->eventLine("starvation", sim_.now_ + i,
+                                   line_addr);
 }
 
 void
@@ -93,13 +106,13 @@ Simulator::exportRegistry(stats::Registry &registry) const
 }
 
 void
-Simulator::takeSample(std::uint64_t measure_start)
+Simulator::takeSample()
 {
     stats::Registry registry;
     exportRegistry(registry);
     stats::Sample sample;
     sample.instructions = committed();
-    sample.cycles = now_ - measure_start;
+    sample.cycles = now_ - measureStart_;
     sample.counters = stats::Sampler::snapshotCounters(registry);
     sample.priorityOccupancy = hierarchy_.l2().priorityOccupancy();
     sampler_.record(std::move(sample));
@@ -117,6 +130,38 @@ Simulator::stepCycle()
     frontend_.prefetch(now_);
     frontend_.predict(now_);
     ++now_;
+}
+
+std::uint64_t
+Simulator::nextEvent() const
+{
+    // Cheapest and most often busy first: most stepped cycles stop
+    // at the back end's check.
+    const std::uint64_t backend =
+        backend_.nextEvent(now_, decodeQueue_.empty());
+    if (backend <= now_)
+        return now_;
+    const std::uint64_t frontend =
+        frontend_.nextEvent(now_, decodeQueue_.size());
+    if (frontend <= now_)
+        return now_;
+    return std::min({backend, frontend, hierarchy_.nextCompletion()});
+}
+
+void
+Simulator::skipIdleCycles(std::uint64_t limit)
+{
+    // In [now_, next) no fill completes, nothing executes, retires,
+    // dispatches, fetches, prefetches or predicts, and the line fetch
+    // waits on (hence the starvation verdict) cannot change: each of
+    // those cycles only moves the back end's cycle, stall and
+    // starvation counters and the hierarchy's starvation notes.
+    const std::uint64_t next = std::min(nextEvent(), limit);
+    if (next <= now_)
+        return;
+    backend_.accrueIdleCycles(next - now_, decodeQueue_.empty(),
+                              frontend_.pendingFetchLine(now_));
+    now_ = next;
 }
 
 void
@@ -263,6 +308,56 @@ Simulator::exportLaneRegistry(unsigned lane,
                      frontend_.stats());
 }
 
+void
+Simulator::beginWarmup()
+{
+    // Functional-warming mode: every cache, predictor and
+    // priority-bit structure evolves exactly as a counted run would,
+    // and leaving the mode discards the counters it accumulated — so
+    // the measurement window starts with clean counters over warmed
+    // state.
+    hierarchy_.setWarming(true);
+    frontend_.setWarming(true);
+}
+
+void
+Simulator::beginMeasurement()
+{
+    hierarchy_.setWarming(false);
+    frontend_.setWarming(false);
+    resetWindowStats();
+    lastPriorityReset_ = 0;
+    if (onMeasureStart_)
+        onMeasureStart_();
+    // Arm observability for the window: events emitted from here on
+    // match the just-reset counters one-for-one.
+    traceAdapter_.arm();
+    sampler_ = stats::Sampler(config_.sampleInterval);
+    measureStart_ = now_;
+}
+
+void
+Simulator::afterMeasuredCycle()
+{
+    if (sampler_.due(committed()))
+        takeSample();
+    if (config_.priorityResetInstructions > 0 &&
+        committed() - lastPriorityReset_ >=
+            config_.priorityResetInstructions) {
+        hierarchy_.resetPriorities();
+        lastPriorityReset_ = committed();
+    }
+}
+
+Metrics
+Simulator::endMeasurement()
+{
+    if (traceSink_ != nullptr)
+        traceSink_->flush();
+    lastWindowCycles_ = now_ - measureStart_;
+    return collect(lastWindowCycles_);
+}
+
 Metrics
 Simulator::run()
 {
@@ -275,50 +370,28 @@ Simulator::run()
         config_.maxCycles > 0 ? config_.maxCycles
                               : 400 * (warmup + measure) + 1'000'000;
 
-    // Warm-up phase in functional-warming mode: every cache,
-    // predictor and priority-bit structure evolves exactly as a
-    // counted run would, and leaving the mode discards the counters
-    // it accumulated — so the measurement window starts with clean
-    // counters over warmed state.
-    hierarchy_.setWarming(true);
-    frontend_.setWarming(true);
+    // Idle cycles neither commit nor reach a sample or reset boundary,
+    // so skipping them before each stepped cycle leaves the protocol's
+    // checks where stepping every cycle puts them. The skip stops at
+    // budget + 1, where stepping would have thrown too.
+    beginWarmup();
     while (committed() < warmup) {
+        skipIdleCycles(budget + 1);
         stepCycle();
         if (now_ > budget)
             throw std::runtime_error("Simulator: warm-up exceeded "
                                      "cycle budget");
     }
-    hierarchy_.setWarming(false);
-    frontend_.setWarming(false);
-    resetWindowStats();
-    lastPriorityReset_ = 0;
-    if (onMeasureStart_)
-        onMeasureStart_();
-    // Arm observability for the window: events emitted from here on
-    // match the just-reset counters one-for-one.
-    traceAdapter_.arm();
-    sampler_ = stats::Sampler(config_.sampleInterval);
-    const std::uint64_t measure_start = now_;
-
+    beginMeasurement();
     while (committed() < measure) {
+        skipIdleCycles(budget + 1);
         stepCycle();
-        if (sampler_.due(committed()))
-            takeSample(measure_start);
-        if (config_.priorityResetInstructions > 0 &&
-            committed() - lastPriorityReset_ >=
-                config_.priorityResetInstructions) {
-            hierarchy_.resetPriorities();
-            lastPriorityReset_ = committed();
-        }
+        afterMeasuredCycle();
         if (now_ > budget)
             throw std::runtime_error("Simulator: measurement exceeded "
                                      "cycle budget");
     }
-    if (traceSink_ != nullptr)
-        traceSink_->flush();
-
-    lastWindowCycles_ = now_ - measure_start;
-    return collect(lastWindowCycles_);
+    return endMeasurement();
 }
 
 } // namespace emissary::core

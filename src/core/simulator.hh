@@ -5,6 +5,12 @@
  *
  * Public API entry point: construct with a MachineConfig and a
  * TraceSource, call run(), read the Metrics.
+ *
+ * run() is event-driven: before each stepped cycle it jumps the clock
+ * over the cycles in which no stage can change state, accruing in
+ * bulk exactly the counters those cycles would move. stepCycle() is
+ * the cycle-by-cycle reference it must match bit for bit
+ * (docs/performance.md, "The event loop").
  */
 
 #ifndef EMISSARY_CORE_SIMULATOR_HH
@@ -85,6 +91,28 @@ class Simulator
     /** Warm up, measure, and return the window's metrics. */
     Metrics run();
 
+    /**
+     * The warm-up/measurement protocol run() follows, exposed so a
+     * test can replay it around stepCycle():
+     *
+     *     beginWarmup();
+     *     while (committed() < warmup) step;
+     *     beginMeasurement();
+     *     while (committed() < measure) { step; afterMeasuredCycle(); }
+     *     metrics = endMeasurement();
+     *
+     * beginWarmup puts the caches and predictors in functional-
+     * warming mode; beginMeasurement leaves it with clean counters,
+     * fires the measure-start callback and arms the trace sink and
+     * sampler; afterMeasuredCycle takes due samples and applies the
+     * §6 priority reset; endMeasurement flushes the trace and
+     * composes the window's Metrics.
+     */
+    void beginWarmup();
+    void beginMeasurement();
+    void afterMeasuredCycle();
+    Metrics endMeasurement();
+
     /** Callback fired when the measurement window begins (after the
      *  warm-up stats reset) — lets observers scope to the window. */
     void
@@ -149,6 +177,8 @@ class Simulator
 
         void onL2InstMiss(std::uint64_t line_addr) override;
         void onStarvationCycle(std::uint64_t line_addr) override;
+        void onStarvationCycles(std::uint64_t line_addr,
+                                std::uint64_t cycles) override;
         void onL2Fill(std::uint64_t line_addr, bool is_instruction,
                       bool high_priority) override;
         void onL2Eviction(std::uint64_t line_addr, bool was_priority,
@@ -160,8 +190,15 @@ class Simulator
         bool armed_ = false;
     };
 
+    /** Earliest cycle >= now_ at which any stage can change state. */
+    std::uint64_t nextEvent() const;
+
+    /** Jump now_ to min(nextEvent(), @p limit), accruing the skipped
+     *  idle cycles' counters. */
+    void skipIdleCycles(std::uint64_t limit);
+
     void resetWindowStats();
-    void takeSample(std::uint64_t measure_start);
+    void takeSample();
     Metrics collect(std::uint64_t window_cycles) const;
 
     Config config_;
@@ -172,6 +209,8 @@ class Simulator
     std::deque<DynInst> decodeQueue_;
     std::uint64_t now_ = 0;
     std::uint64_t lastPriorityReset_ = 0;
+    /** Cycle the measurement window opened at. */
+    std::uint64_t measureStart_ = 0;
     /** Cycles of the last completed measurement window (the base of
      *  collectLane's per-lane cycle adjustment). */
     std::uint64_t lastWindowCycles_ = 0;

@@ -6,11 +6,6 @@
 namespace emissary::frontend
 {
 
-namespace
-{
-constexpr unsigned kLineShift = 6;  // 64 B lines.
-} // namespace
-
 FrontEnd::FrontEnd(const Config &config, trace::TraceSource &source,
                    cache::Hierarchy &hierarchy)
     : config_(config),
@@ -19,14 +14,18 @@ FrontEnd::FrontEnd(const Config &config, trace::TraceSource &source,
       btb_(config.btbEntries, config.btbWays),
       tage_(config.tage),
       ittage_(config.ittage),
-      ras_(config.rasDepth)
+      ras_(config.rasDepth),
+      ftq_(config.ftqEntries)
 {
 }
 
-FtqEntry
-FrontEnd::buildBlock()
+void
+FrontEnd::buildBlock(FtqEntry &entry)
 {
-    FtqEntry entry;
+    entry.instrs.clear();
+    entry.lines.clear();
+    entry.consumed = 0;
+    entry.linesRequested = false;
     std::uint64_t last_line = ~std::uint64_t{0};
     while (true) {
         core::DynInst inst;
@@ -44,7 +43,6 @@ FrontEnd::buildBlock()
             entry.instrs.size() >= config_.maxBlockInstrs)
             break;
     }
-    return entry;
 }
 
 void
@@ -177,17 +175,17 @@ FrontEnd::predictTerminator(FtqEntry &entry, std::uint64_t now)
 void
 FrontEnd::predict(std::uint64_t now)
 {
-    if (haltedOnSeq_ || now < bpuStallUntil_)
-        return;
-    if (ftq_.size() >= config_.ftqEntries ||
-        ftqInstrCount_ >= config_.ftqInstrs)
+    if (haltedOnSeq_ || now < bpuStallUntil_ || ftqFull())
         return;
 
-    FtqEntry entry = buildBlock();
+    // Enqueue first: the block is built in place in the ring's next
+    // slot, and requestLines keeps unrequested_ exact from here on.
+    FtqEntry &entry = ftq_.pushSlot();
+    ++unrequested_;
+    buildBlock(entry);
     predictTerminator(entry, now);
     ftqInstrCount_ += static_cast<unsigned>(entry.instrs.size());
     ++stats_.blocksFormed;
-    ftq_.push_back(std::move(entry));
 }
 
 void
@@ -203,18 +201,19 @@ FrontEnd::requestLines(FtqEntry &entry, std::uint64_t now,
         if (kind == cache::RequestKind::Fdip)
             ++stats_.fdipRequests;
     }
+    if (!entry.linesRequested)
+        --unrequested_;
     entry.linesRequested = true;
 }
 
 void
 FrontEnd::prefetch(std::uint64_t now)
 {
-    if (!config_.fdip)
+    if (!config_.fdip || unrequested_ == 0)
         return;
     unsigned budget = config_.fdipLinesPerCycle;
-    for (auto &entry : ftq_) {
-        if (budget == 0)
-            break;
+    for (std::size_t i = 0; i < ftq_.size() && budget > 0; ++i) {
+        FtqEntry &entry = ftq_[i];
         if (entry.linesRequested)
             continue;
         const unsigned cost =
@@ -240,18 +239,10 @@ FrontEnd::fetch(std::uint64_t now,
                                       : cache::RequestKind::Demand);
         }
 
-        const core::DynInst &inst = entry.instrs[entry.consumed];
-        const std::uint64_t line = inst.rec.pc >> kLineShift;
-        const auto it = std::find_if(
-            entry.lines.begin(), entry.lines.end(),
-            [line](const FtqEntry::LineState &ls) {
-                return ls.lineAddr == line;
-            });
-        assert(it != entry.lines.end());
-        if (it->readyCycle > now)
+        if (headLine(entry).readyCycle > now)
             break;  // Head line still in flight: fetch stalls.
 
-        decode_queue.push_back(inst);
+        decode_queue.push_back(entry.instrs[entry.consumed]);
         ++stats_.fetchedInstrs;
         ++entry.consumed;
         --budget;
@@ -286,15 +277,43 @@ FrontEnd::pendingFetchLine(std::uint64_t now) const
     const FtqEntry &entry = ftq_.front();
     if (!entry.linesRequested)
         return std::nullopt;
-    const std::uint64_t line =
-        entry.instrs[entry.consumed].rec.pc >> kLineShift;
-    for (const auto &ls : entry.lines) {
-        if (ls.lineAddr == line)
-            return ls.readyCycle > now
-                       ? std::optional<std::uint64_t>(line)
-                       : std::nullopt;
-    }
+    const FtqEntry::LineState &line = headLine(entry);
+    if (line.readyCycle > now)
+        return line.lineAddr;
     return std::nullopt;
+}
+
+std::uint64_t
+FrontEnd::nextEvent(std::uint64_t now,
+                    std::size_t decode_queue_size) const
+{
+    // predict: runs once the BPU stall ends unless it is halted on a
+    // mispredict or the FTQ is full (both lifted by other stages).
+    if (!haltedOnSeq_ && !ftqFull() && now >= bpuStallUntil_)
+        return now;
+    std::uint64_t next = ~std::uint64_t{0};
+    if (bpuStallUntil_ > now)
+        next = bpuStallUntil_;
+    // prefetch: some queued block still has unrequested lines.
+    if (config_.fdip && config_.fdipLinesPerCycle > 0 &&
+        unrequested_ > 0)
+        return now;
+    // fetch: the head block's next line, once decode has room.
+    if (!ftq_.empty()) {
+        const FtqEntry &head = ftq_.front();
+        const bool room = decode_queue_size < config_.decodeQueueCap;
+        if (!head.linesRequested) {
+            if (room)
+                return now;
+        } else {
+            const std::uint64_t ready = headLine(head).readyCycle;
+            if (ready > now)
+                next = std::min(next, ready);
+            else if (room)
+                return now;
+        }
+    }
+    return next;
 }
 
 } // namespace emissary::frontend

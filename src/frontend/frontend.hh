@@ -20,7 +20,9 @@
 #ifndef EMISSARY_FRONTEND_FRONTEND_HH
 #define EMISSARY_FRONTEND_FRONTEND_HH
 
+#include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -33,6 +35,7 @@
 #include "frontend/ras.hh"
 #include "frontend/tage.hh"
 #include "trace/record.hh"
+#include "util/ring.hh"
 
 namespace emissary::frontend
 {
@@ -143,6 +146,19 @@ class FrontEnd
     /** True when the FTQ holds no deliverable work. */
     bool ftqEmpty() const { return ftq_.empty(); }
 
+    /**
+     * Earliest cycle >= @p now at which predict, prefetch or fetch
+     * can change state, or at which pendingFetchLine() can change
+     * its answer, given @p decode_queue_size instructions waiting
+     * for decode: @p now when a stage has work, else the BPU stall
+     * end or the FTQ head line's fill (the max value when only the
+     * back end can wake the front end: a mispredict resolution or
+     * decode-queue space). Conservative: a returned cycle may still
+     * turn out idle.
+     */
+    std::uint64_t nextEvent(std::uint64_t now,
+                            std::size_t decode_queue_size) const;
+
     /** Sequence number of the mispredicted branch the BPU is halted
      *  on, if any (testing/diagnosis). */
     std::optional<std::uint64_t> haltedBranch() const
@@ -177,6 +193,8 @@ class FrontEnd
      *  virtual TraceSource::next() dispatch is paid once per batch. */
     static constexpr std::size_t kFeedBatch = 256;
 
+    static constexpr unsigned kLineShift = 6;  ///< 64 B lines.
+
     /** Next committed record, refilling the feed buffer as needed. */
     const trace::TraceRecord &
     nextRecord()
@@ -188,8 +206,33 @@ class FrontEnd
         return feed_[feedPos_++];
     }
 
-    /** Pull trace records to build the next dynamic basic block. */
-    FtqEntry buildBlock();
+    /** Pull trace records into @p entry (cleared, capacity kept) to
+     *  build the next dynamic basic block. */
+    void buildBlock(FtqEntry &entry);
+
+    /** The BPU may not enqueue another block. */
+    bool
+    ftqFull() const
+    {
+        return ftq_.size() >= config_.ftqEntries ||
+               ftqInstrCount_ >= config_.ftqInstrs;
+    }
+
+    /** Fill state of the line holding @p entry's next instruction
+     *  (per fetched instruction, so kept inline). */
+    static const FtqEntry::LineState &
+    headLine(const FtqEntry &entry)
+    {
+        const std::uint64_t line =
+            entry.instrs[entry.consumed].rec.pc >> kLineShift;
+        const auto it = std::find_if(
+            entry.lines.begin(), entry.lines.end(),
+            [line](const FtqEntry::LineState &ls) {
+                return ls.lineAddr == line;
+            });
+        assert(it != entry.lines.end());
+        return *it;
+    }
 
     /** Predict/teach the terminator; set halt/penalty state. */
     void predictTerminator(FtqEntry &entry, std::uint64_t now);
@@ -210,8 +253,13 @@ class FrontEnd
     std::array<trace::TraceRecord, kFeedBatch> feed_;
     std::size_t feedPos_ = kFeedBatch;  ///< Empty until first refill.
 
-    std::deque<FtqEntry> ftq_;
+    /** Entries are reused in place, so a block's instruction and
+     *  line vectors keep their capacity from one block to the
+     *  next. */
+    FixedRing<FtqEntry> ftq_;
     unsigned ftqInstrCount_ = 0;
+    /** Queued entries whose lines are not yet requested. */
+    unsigned unrequested_ = 0;
 
     std::uint64_t seq_ = 0;
     std::uint64_t bpuStallUntil_ = 0;

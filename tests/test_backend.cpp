@@ -2,12 +2,15 @@
  * @file
  * Tests for the back-end model: dispatch width, window capacity,
  * stall classification, the issue-queue-empty signal, starvation
- * accounting, and load-latency propagation.
+ * accounting, load-latency propagation, and the completion wheel's
+ * edge cases under cycle-by-cycle and event-driven stepping.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <vector>
 
 #include "backend/backend.hh"
 
@@ -53,7 +56,10 @@ load(std::uint64_t seq, std::uint64_t addr)
 
 struct Rig
 {
-    Rig() : hierarchy(hierConfig()), backend(config(), hierarchy) {}
+    explicit Rig(const Backend::Config &backend_config = config())
+        : hierarchy(hierConfig()), backend(backend_config, hierarchy)
+    {
+    }
 
     static Backend::Config
     config()
@@ -233,6 +239,89 @@ TEST(Backend, DependenceChainsSlowConsumers)
     // The chain completes well after the bare load latency (~246).
     EXPECT_GT(now, 246u);
     EXPECT_EQ(backend.stats().committed, 6u);
+}
+
+TEST(Backend, LoadChainBeyondWheelHorizonWithMispredict)
+{
+    // A mispredicted branch, then eight loads to distinct cold lines
+    // that each chase the previous one: every load pays a full DRAM
+    // miss after its predecessor's, so the chain completes at 8
+    // misses (~2000 cycles), well past the completion wheel's
+    // 1024-cycle horizon. The branch resolves while it is in flight,
+    // and the 8-entry LQ is full from cycle 1 until the first load
+    // returns. Cycle-by-cycle and event-driven stepping (idle spans
+    // accrued in bulk) must agree on every count.
+    Backend::Config chained = Rig::config();
+    chained.loadChainFraction = 1.0;
+    chained.lqEntries = 8;
+    const cache::Hierarchy::Config hier = hierConfig();
+    const std::uint64_t miss = hier.l1d.hitLatency +
+                               hier.l2.hitLatency +
+                               hier.l3.hitLatency + hier.dramLatency;
+    constexpr std::uint64_t kEnd = 2500;
+
+    std::vector<std::uint64_t> expected_commits = {
+        chained.branchLatency};
+    for (std::uint64_t k = 1; k <= 8; ++k)
+        expected_commits.push_back(k * miss);
+
+    BackendStats stats[2];
+    for (const bool event_driven : {false, true}) {
+        Rig rig(chained);
+        std::uint64_t resolved_seq = 0;
+        std::uint64_t resolved_cycle = 0;
+        rig.backend.setResolveCallback(
+            [&](std::uint64_t seq, std::uint64_t cycle) {
+                resolved_seq = seq;
+                resolved_cycle = cycle;
+            });
+        core::DynInst branch = alu(1);
+        branch.rec.cls = trace::InstClass::CondBranch;
+        branch.mispredicted = true;
+        rig.queue.push_back(branch);
+        for (std::uint64_t s = 2; s <= 9; ++s)
+            rig.queue.push_back(load(s, 0x100000 + 0x10000 * s));
+
+        std::vector<std::uint64_t> commits;
+        for (std::uint64_t now = 0; now < kEnd; ++now) {
+            if (event_driven) {
+                const std::uint64_t next = std::min(
+                    {rig.backend.nextEvent(now, rig.queue.empty()),
+                     rig.hierarchy.nextCompletion(), kEnd});
+                rig.backend.accrueIdleCycles(next - now,
+                                             rig.queue.empty(),
+                                             std::nullopt);
+                now = next;
+                if (now == kEnd)
+                    break;
+            }
+            const std::uint64_t before = rig.backend.stats().committed;
+            rig.cycle(now);
+            commits.insert(commits.end(),
+                           rig.backend.stats().committed - before, now);
+            EXPECT_EQ(rig.backend.issueQueueEmpty(), now >= 8 * miss)
+                << "cycle " << now;
+            // LQ release: full from the ninth instruction's dispatch
+            // until the first load completes.
+            EXPECT_EQ(rig.backend.canAccept(), now == 0 || now >= miss)
+                << "cycle " << now;
+        }
+        EXPECT_EQ(commits, expected_commits);
+        EXPECT_EQ(resolved_seq, 1u);
+        EXPECT_EQ(resolved_cycle, chained.branchLatency);
+        EXPECT_TRUE(rig.backend.robEmpty());
+        stats[event_driven ? 1 : 0] = rig.backend.stats();
+    }
+    EXPECT_EQ(stats[0].cycles, kEnd);
+    EXPECT_EQ(stats[1].cycles, kEnd);
+    EXPECT_EQ(stats[0].committed, stats[1].committed);
+    EXPECT_EQ(stats[0].feStallCycles, stats[1].feStallCycles);
+    EXPECT_EQ(stats[0].beStallCycles, stats[1].beStallCycles);
+    EXPECT_EQ(stats[0].resteerEmptyCycles, stats[1].resteerEmptyCycles);
+    EXPECT_EQ(stats[0].decodeActiveCycles, stats[1].decodeActiveCycles);
+    EXPECT_EQ(stats[0].issueActiveCycles, stats[1].issueActiveCycles);
+    EXPECT_EQ(stats[0].branchesResolved, 1u);
+    EXPECT_EQ(stats[1].branchesResolved, 1u);
 }
 
 } // namespace

@@ -2,14 +2,23 @@
  * @file
  * End-to-end simulator tests: metric consistency, determinism,
  * warmup-window accounting, configuration effects (FDIP, ideal L2I),
- * and the §6 priority reset.
+ * the §6 priority reset, and the event-driven run() against the
+ * cycle-by-cycle stepCycle() reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include "core/experiment.hh"
+#include "core/observability.hh"
 #include "core/simulator.hh"
+#include "stats/registry.hh"
+#include "stats/trace_sink.hh"
 #include "trace/executor.hh"
+#include "trace/profile.hh"
 
 namespace emissary::core
 {
@@ -159,6 +168,118 @@ TEST(Simulator, PriorityResetBoundsSaturation)
         b_saturated += b.priorityDistribution[i];
     }
     EXPECT_LE(b_saturated, a_saturated + 1e-9);
+}
+
+/** What one run leaves behind; none of it may depend on whether the
+ *  clock advanced by events or one cycle at a time. */
+struct RunRecord
+{
+    stats::JsonValue metrics;
+    stats::JsonValue counters;
+    stats::JsonValue samples;
+    std::uint64_t now = 0;
+    std::string trace;
+};
+
+/**
+ * Run @p config over a fresh executor of @p program, through run()
+ * or (@p stepped) through run()'s protocol with stepCycle() advancing
+ * every cycle, with a JSONL trace sink writing @p trace_path.
+ */
+RunRecord
+recordRun(const trace::SyntheticProgram &program,
+          const Simulator::Config &config, const std::string &trace_path,
+          bool stepped)
+{
+    trace::SyntheticExecutor executor(program);
+    Simulator sim(config, executor);
+    stats::TraceSink sink(trace_path);
+    sim.setTraceSink(&sink);
+    Metrics metrics;
+    if (stepped) {
+        sim.beginWarmup();
+        while (sim.committed() < config.warmupInstructions)
+            sim.stepCycle();
+        sim.beginMeasurement();
+        while (sim.committed() < config.measureInstructions) {
+            sim.stepCycle();
+            sim.afterMeasuredCycle();
+        }
+        metrics = sim.endMeasurement();
+    } else {
+        metrics = sim.run();
+    }
+
+    RunRecord out;
+    out.metrics = metrics.toJson();
+    stats::Registry registry;
+    sim.exportRegistry(registry);
+    out.counters = registryJson(registry);
+    out.samples = sim.sampler().toJson();
+    out.now = sim.now();
+    sink.close();
+    std::ifstream in(trace_path, std::ios::binary);
+    out.trace.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    return out;
+}
+
+TEST(Simulator, EventLoopMatchesCycleStepping)
+{
+    // Front-end-bound rows first (long empty-ROB fill waits), then
+    // back-end-bound ones (long busy-ROB load waits): the two kinds
+    // of idle span run() jumps over.
+    const char *const rows[] = {"tomcat", "verilator", "finagle-http",
+                                "xapian", "tpcc",      "kafka"};
+    const char *const policies[] = {"TPLRU", "P(8):S&E&R(1/32)",
+                                    "DRRIP", "M:S&E"};
+    constexpr unsigned kVariants = 4;
+    const std::string trace_path =
+        ::testing::TempDir() + "test_simulator_event_loop.jsonl";
+
+    unsigned row_index = 0;
+    for (const char *row : rows) {
+        const trace::SyntheticProgram program(trace::profileByName(row));
+        unsigned policy_index = 0;
+        for (const char *policy : policies) {
+            // Each cell runs one machine variant; across the grid
+            // every variant meets every policy and both row kinds.
+            const unsigned variant =
+                (row_index + policy_index) % kVariants;
+            MachineOptions options;
+            options.l2Policy = policy;
+            options.fdip = variant != 2;
+            options.idealL2Inst = variant == 3;
+            Simulator::Config config;
+            config.machine = alderlakeConfig(options);
+            config.warmupInstructions = 20000;
+            config.measureInstructions = 60000;
+            config.sampleInterval = 15000;
+            if (variant == 1)
+                config.priorityResetInstructions = 10000;
+            const std::string cell = std::string(row) + " x " +
+                                     policy + " variant " +
+                                     std::to_string(variant);
+
+            const RunRecord event_driven =
+                recordRun(program, config, trace_path, false);
+            const RunRecord stepped =
+                recordRun(program, config, trace_path, true);
+            EXPECT_TRUE(event_driven.metrics == stepped.metrics)
+                << cell << "\n" << event_driven.metrics.dump() << "\n"
+                << stepped.metrics.dump();
+            EXPECT_TRUE(event_driven.counters == stepped.counters)
+                << cell << "\n" << event_driven.counters.dump()
+                << "\n" << stepped.counters.dump();
+            EXPECT_TRUE(event_driven.samples == stepped.samples)
+                << cell;
+            EXPECT_EQ(event_driven.now, stepped.now) << cell;
+            EXPECT_FALSE(stepped.trace.empty()) << cell;
+            EXPECT_TRUE(event_driven.trace == stepped.trace) << cell;
+            ++policy_index;
+        }
+        ++row_index;
+    }
 }
 
 TEST(Experiment, SpeedupHelpers)
