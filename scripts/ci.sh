@@ -8,10 +8,13 @@
 #   1. Release build (warnings are errors) + full test suite
 #   2. Observability smoke: --stats-json / --sample-interval /
 #      --trace-out output must parse and carry the expected keys; a
-#      --record run must report the same metrics as the plain run;
-#      unknown flags, out-of-range --jobs/--sampled-sets values, a
-#      non-power-of-two --sampled-sets and sweep-only flags on a
-#      single run must fail with a usage error
+#      --record run (EMTC) and a --trace replay of that recording must
+#      report the same metrics as the plain run; --trace on a file
+#      that is not EMTC must fail naming the path; unknown flags,
+#      out-of-range --jobs/--sampled-sets values, a non-power-of-two
+#      --sampled-sets, sweep-only flags on a single run and
+#      --trace-categories without --trace-out (or on a sweep) must
+#      fail with a usage error
 #   3. Throughput smoke: a short policy sweep that prints Minst/s;
 #      the numbers are informational — the stage gates only on the
 #      bench exiting cleanly and on its JSON artifacts. Regressions
@@ -74,21 +77,38 @@ for stage in $STAGES; do
                 event cycle
         done < <(head -100 "$out/trace.jsonl")
         # Recording the stream must not change a single metric (the
-        # Fig. 4 footprint included): the run JSONs' metrics match.
-        for run in plain record; do
+        # Fig. 4 footprint included), and replaying the recording
+        # must reproduce them: the run JSONs' metrics match. The
+        # replay names its workload after the container ("emtc:..."),
+        # so "benchmark" is the one field it may differ in.
+        for run in plain record replay; do
             extra=()
-            [ "$run" = record ] && extra=(--record "$out/run.trc")
+            [ "$run" = record ] && extra=(--record "$out/run.emtc")
+            [ "$run" = replay ] && extra=(--trace "$out/run.emtc")
             build-ci-release/tools/emissary_sim \
                 --benchmark tomcat --instructions 200000 \
                 --stats-json "$out/$run.json" "${extra[@]}" >/dev/null
         done
-        python3 - "$out/plain.json" "$out/record.json" <<'EOF'
+        python3 - "$out/plain.json" "$out/record.json" \
+            "$out/replay.json" <<'EOF'
 import json, sys
-plain, record = (json.load(open(path))["metrics"] for path in sys.argv[1:3])
+plain, record, replay = (json.load(open(path))["metrics"]
+                         for path in sys.argv[1:4])
 assert plain == record, "--record changed the run's metrics"
 assert plain["code_footprint_lines"] > 0, "no code footprint"
-print("smoke: --record metrics equal the plain run's")
+assert replay.pop("benchmark") == "emtc:" + plain.pop("benchmark")
+assert plain == replay, "--trace replay differs from the plain run"
+print("smoke: --record and --trace replay metrics equal the plain run's")
 EOF
+        # --trace reads only EMTC: any other file is rejected, and the
+        # error names the path.
+        printf 'not a trace' >"$out/garbage.emtc"
+        rc=0
+        build-ci-release/tools/emissary_sim --trace "$out/garbage.emtc" \
+            --instructions 1000 >/dev/null 2>"$out/err.txt" || rc=$?
+        [ "$rc" -ne 0 ] && grep -qF "$out/garbage.emtc" "$out/err.txt" ||
+            { echo "--trace on a non-EMTC file: expected a failure" \
+                  "naming the path (rc=$rc)" >&2; exit 1; }
         # Unknown flags must fail loudly.
         if build-ci-release/tools/emissary_sim --no-such-flag \
             2>/dev/null; then
@@ -119,6 +139,21 @@ EOF
             [ "$rc" -eq 2 ] && grep -q -- "${flag%% *}" "$out/err.txt" ||
                 { echo "$flag on a single run: expected exit 2" \
                       "naming the flag (rc=$rc)" >&2; exit 1; }
+        done
+        # --trace-categories only filters --trace-out: on a single run
+        # without it, or on a sweep, it is a usage error (exit 2,
+        # naming the flag), not silently ignored.
+        for mode in "--benchmark tomcat" \
+            "--benchmarks tomcat --policies TPLRU"; do
+            rc=0
+            # shellcheck disable=SC2086
+            build-ci-release/tools/emissary_sim $mode \
+                --instructions 1000 --trace-categories starvation \
+                >/dev/null 2>"$out/err.txt" || rc=$?
+            [ "$rc" -eq 2 ] &&
+                grep -q -- --trace-categories "$out/err.txt" ||
+                { echo "--trace-categories with $mode: expected" \
+                      "exit 2 naming the flag (rc=$rc)" >&2; exit 1; }
         done
         rm -rf "$out"
         echo "smoke OK"

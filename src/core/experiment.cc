@@ -10,6 +10,7 @@
 #include "cache/lanes.hh"
 #include "stats/json.hh"
 
+#include "core/observability.hh"
 #include "core/simulator.hh"
 #include "stats/span_recorder.hh"
 #include "trace/executor.hh"
@@ -132,27 +133,8 @@ runPolicy(const trace::SyntheticProgram &program,
 std::string
 canonicalRunOptions(const RunOptions &options)
 {
-    using stats::JsonValue;
-    JsonValue doc = JsonValue::object();
-    doc.set("warmup_instructions",
-            JsonValue(options.warmupInstructions));
-    doc.set("measure_instructions",
-            JsonValue(options.measureInstructions));
-    doc.set("fdip", JsonValue(options.fdip));
-    doc.set("next_line_prefetch",
-            JsonValue(options.nextLinePrefetch));
-    doc.set("ideal_l2_inst", JsonValue(options.idealL2Inst));
-    doc.set("emissary_tree_plru",
-            JsonValue(options.emissaryTreePlru));
-    doc.set("l1i_policy", JsonValue(options.l1iPolicy));
-    doc.set("bypass_low_priority_inst",
-            JsonValue(options.bypassLowPriorityInst));
-    doc.set("priority_reset_instructions",
-            JsonValue(options.priorityResetInstructions));
-    doc.set("seed", JsonValue(options.seed));
-    doc.set("sampled_sets",
-            JsonValue(
-                static_cast<std::uint64_t>(options.sampledSets)));
+    stats::JsonValue doc = runOptionsJson(options);
+    doc.set("seed", stats::JsonValue(options.seed));
     return doc.dump(0);
 }
 

@@ -141,10 +141,10 @@ Metrics runPolicy(const trace::SyntheticProgram &program,
 /**
  * Every RunOptions field as one canonical compact-JSON string, the
  * machine-config component of a grid cell's cache identity
- * (core::cellCacheCanonical). Unlike the manifest "config" object
- * this includes the seed, and its layout is append-only: adding a
- * RunOptions field must extend this string, otherwise two configs
- * that differ in the new knob would collide in the result cache.
+ * (core::cellCacheCanonical): the manifest "config" object
+ * (runOptionsJson) plus the seed. Sharing that one serializer means
+ * a new RunOptions field added to the manifest also keys the result
+ * cache, so configs differing only in it cannot collide.
  */
 std::string canonicalRunOptions(const RunOptions &options);
 

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <fstream>
 #include <mutex>
-#include <stdexcept>
 #include <utility>
 
 #include "cache/lanes.hh"
@@ -14,10 +12,8 @@
 #include "core/replay_build.hh"
 #include "core/result_cache.hh"
 #include "trace/executor.hh"
-#include "trace/file.hh"
 #include "trace/program.hh"
 #include "trace/replay.hh"
-#include "util/crc32.hh"
 #include "util/hash.hh"
 #include "util/strutil.hh"
 #include "workload/emtc.hh"
@@ -83,23 +79,6 @@ sameRunKnobs(const RunOptions &a, const RunOptions &b)
            a.seed == b.seed && a.sampledSets == b.sampledSets;
 }
 
-/** CRC-32 of a whole file, streamed in 64 KiB chunks — the content
- *  identity of raw EMTR traces, which carry no per-block digests. */
-std::uint32_t
-fileCrc32(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error(
-            "cellCacheCanonical: cannot open trace '" + path + "'");
-    std::uint32_t crc = 0;
-    char chunk[64 * 1024];
-    while (in.read(chunk, sizeof(chunk)).gcount() > 0)
-        crc = emissary::crc32(crc, chunk,
-                              static_cast<std::size_t>(in.gcount()));
-    return crc;
-}
-
 } // namespace
 
 std::string
@@ -117,31 +96,22 @@ cellCacheCanonical(const GridWorkload &workload, const RunSpec &run,
     // must not change its cached result.
     JsonValue source = JsonValue::object();
     if (workload.traceBacked()) {
-        if (isPackedTracePath(workload.tracePath)) {
-            // The index CRC transitively digests every block's own
-            // CRC, so these header fields identify the full payload
-            // without decoding it.
-            const auto info = readTraceInfo(workload.tracePath);
-            source.set("type", JsonValue("emtc"));
-            source.set("records", JsonValue(info.recordCount));
-            source.set("records_per_block",
-                       JsonValue(static_cast<std::uint64_t>(
-                           info.recordsPerBlock)));
-            source.set("blocks",
-                       JsonValue(static_cast<std::uint64_t>(
-                           info.blockCount)));
-            source.set("unique_code_lines",
-                       JsonValue(info.uniqueCodeLines));
-            source.set("file_bytes", JsonValue(info.fileBytes));
-            source.set("index_crc",
-                       JsonValue(static_cast<std::uint64_t>(
-                           info.indexCrc)));
-        } else {
-            source.set("type", JsonValue("emtr"));
-            source.set("file_crc",
-                       JsonValue(static_cast<std::uint64_t>(
-                           fileCrc32(workload.tracePath))));
-        }
+        // The index CRC transitively digests every block's own CRC,
+        // so these header fields identify the full payload without
+        // decoding it.
+        const auto info = readTraceInfo(workload.tracePath);
+        source.set("type", JsonValue("emtc"));
+        source.set("records", JsonValue(info.recordCount));
+        source.set("records_per_block",
+                   JsonValue(static_cast<std::uint64_t>(
+                       info.recordsPerBlock)));
+        source.set("blocks", JsonValue(static_cast<std::uint64_t>(
+                                 info.blockCount)));
+        source.set("unique_code_lines",
+                   JsonValue(info.uniqueCodeLines));
+        source.set("file_bytes", JsonValue(info.fileBytes));
+        source.set("index_crc", JsonValue(static_cast<std::uint64_t>(
+                                    info.indexCrc)));
         source.set("skip_records", JsonValue(workload.skipRecords));
         source.set("max_records", JsonValue(workload.maxRecords));
     } else {
@@ -821,17 +791,13 @@ sweepJson(const PolicyGrid &grid, const GridResults &results)
             provenance.set("skip_records",
                            JsonValue(row.skipRecords));
             provenance.set("max_records", JsonValue(row.maxRecords));
-            if (isPackedTracePath(row.tracePath)) {
-                const auto info = readTraceInfo(row.tracePath);
-                provenance.set("records",
-                               JsonValue(info.recordCount));
-                provenance.set("unique_code_lines",
-                               JsonValue(info.uniqueCodeLines));
-                provenance.set("file_bytes",
-                               JsonValue(info.fileBytes));
-                provenance.set("compression_ratio",
-                               JsonValue(info.compressionRatio()));
-            }
+            const auto info = readTraceInfo(row.tracePath);
+            provenance.set("records", JsonValue(info.recordCount));
+            provenance.set("unique_code_lines",
+                           JsonValue(info.uniqueCodeLines));
+            provenance.set("file_bytes", JsonValue(info.fileBytes));
+            provenance.set("compression_ratio",
+                           JsonValue(info.compressionRatio()));
         } else {
             provenance.set("type", JsonValue("synthetic"));
             provenance.set("profile", JsonValue(row.profile.name));

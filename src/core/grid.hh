@@ -70,8 +70,8 @@ struct RunSpec
 
 /**
  * One row of a sweep: a named workload, either synthetic (generated
- * from a WorkloadProfile) or trace-backed (streamed from an EMTR or
- * EMTC file on disk). Implicitly convertible from WorkloadProfile so
+ * from a WorkloadProfile) or trace-backed (streamed from an EMTC
+ * container on disk). Implicitly convertible from WorkloadProfile so
  * profile-based call sites keep working unchanged.
  */
 struct GridWorkload
@@ -79,7 +79,7 @@ struct GridWorkload
     std::string name;
     /** Generator parameters; used when tracePath is empty. */
     trace::WorkloadProfile profile;
-    /** Path to an .emtr / .emtc trace; empty = synthetic. */
+    /** Path to an EMTC container; empty = synthetic. */
     std::string tracePath;
     /** Records dropped from the front of the trace (warmup skip). */
     std::uint64_t skipRecords = 0;
@@ -145,8 +145,7 @@ class ResultCache;
  *  - workload content: every generator parameter incl. seed for
  *    synthetic rows; for trace rows the container's content digest
  *    (EMTC header fields + the block-index CRC, which covers every
- *    block's own CRC) or a whole-file CRC for raw EMTR files, plus
- *    the skip/max window. The display name is excluded — renaming a
+ *    block's own CRC) plus the skip/max window. The display name is excluded — renaming a
  *    workload does not change its result.
  *  - the L2 policy in canonical notation (aliases like "EMISSARY"
  *    normalise to their expansion);

@@ -29,7 +29,9 @@
 namespace emissary::core
 {
 
-/** A run's window/machine knobs as the manifest "config" object. */
+/** A run's window/machine knobs as the manifest "config" object;
+ *  also the body of canonicalRunOptions, so every field listed here
+ *  keys the result cache. */
 stats::JsonValue runOptionsJson(const RunOptions &options);
 
 /**

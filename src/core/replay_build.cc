@@ -5,7 +5,6 @@
 #include <future>
 #include <vector>
 
-#include "trace/file.hh"
 #include "workload/emtc.hh"
 
 namespace emissary::core
@@ -38,22 +37,10 @@ std::unique_ptr<trace::TraceSource>
 openTraceSource(const GridWorkload &w,
                 std::uint64_t extra_skip)
 {
-    std::unique_ptr<trace::TraceSource> source;
-    if (isPackedTracePath(w.tracePath)) {
-        auto packed = std::make_unique<workload::PackedTraceSource>(
-            w.tracePath, w.skipRecords,
-            w.maxRecords);
-        if (extra_skip)
-            packed->skipRecords(extra_skip);
-        source = std::move(packed);
-    } else {
-        auto file = std::make_unique<trace::FileTraceSource>(
-            w.tracePath, w.skipRecords,
-            w.maxRecords);
-        if (extra_skip)
-            file->skipRecords(extra_skip);
-        source = std::move(file);
-    }
+    auto source = std::make_unique<workload::PackedTraceSource>(
+        w.tracePath, w.skipRecords, w.maxRecords);
+    if (extra_skip)
+        source->skipRecords(extra_skip);
     return source;
 }
 
@@ -66,11 +53,8 @@ buildTraceReplay(const GridWorkload &w, std::uint64_t records,
             return openTraceSource(w, position);
         };
 
-    // Raw EMTR files have no block index, so a mid-stream seek costs
-    // a record-by-record skip that would erase the parallel win;
-    // short windows are not worth the per-task file opens either.
-    if (!isPackedTracePath(w.tracePath) ||
-        pool.workerCount() <= 1 || records < 2 * kMinTaskRecords) {
+    // Short windows are not worth the per-task file opens.
+    if (pool.workerCount() <= 1 || records < 2 * kMinTaskRecords) {
         auto source = openTraceSource(w);
         return std::make_shared<const trace::RecordBuffer>(
             *source, records, std::move(tail));

@@ -28,15 +28,18 @@
 namespace emissary::core
 {
 
-/** True when @p path names an EMTC container (by extension). */
+/** True when @p path names an EMTC container by extension (opening
+ *  it is what checks the magic). */
 bool isPackedTracePath(const std::string &path);
 
 /**
- * Fresh streaming source over @p workload's trace, positioned at its
- * configured skip offset plus @p extra_skip records — the grid
- * engine's uniform open for EMTC and raw EMTR files, and the
- * random-access primitive behind the parallel decode and the replay
- * buffer's overrun tail.
+ * Fresh streaming source over @p workload's EMTC container,
+ * positioned at its configured skip offset plus @p extra_skip
+ * records — the grid engine's trace open, and the random-access
+ * primitive behind the parallel decode and the replay buffer's
+ * overrun tail.
+ * @throws std::runtime_error naming the path when the file is not
+ *         a well-formed EMTC container.
  */
 std::unique_ptr<trace::TraceSource>
 openTraceSource(const GridWorkload &workload,
@@ -44,12 +47,12 @@ openTraceSource(const GridWorkload &workload,
 
 /**
  * Pack the first @p records of @p workload's served stream into a
- * RecordBuffer, decoding EMTC containers in parallel across @p pool
- * (raw EMTR files, which have no block index, stream serially). The
- * output is bit-identical to the serial streaming constructor at any
- * worker count: tasks own disjoint record spans and the span
- * partition depends only on (records, worker count), never on
- * scheduling order. Safe to call from inside a pool job — the caller
+ * RecordBuffer, decoding the EMTC container in parallel across
+ * @p pool (serially for one worker or a short window). The output
+ * is bit-identical to the serial streaming constructor at any worker
+ * count: tasks own disjoint record spans and the span partition
+ * depends only on (records, worker count), never on scheduling
+ * order. Safe to call from inside a pool job — the caller
  * helps execute decode tasks instead of blocking
  * (ThreadPool::helpWhile).
  */

@@ -1,10 +1,10 @@
 /**
  * @file
- * EMTC: the compressed, block-indexed trace container.
+ * EMTC: the compressed, block-indexed trace container — the one
+ * on-disk trace format (--record writes it, --trace and catalog
+ * trace rows read it).
  *
- * The raw EMTR format (trace/file.hh) stores 26 bytes per record and
- * is fully buffered into RAM on replay, which caps it at toy trace
- * sizes. EMTC stores the same committed-path stream delta-encoded in
+ * EMTC stores the committed-path stream delta-encoded in
  * self-contained blocks — a sequential instruction costs one byte —
  * behind a fixed-size block index, so a reader streams with bounded
  * memory (one packed + one decoded block in flight) and seeks to any
@@ -86,18 +86,19 @@ struct TraceInfo
      */
     std::uint32_t indexCrc = 0;
 
-    /** Bytes the same stream costs as a raw EMTR file. */
+    /** Bytes the same stream costs unpacked: a 16-byte header plus
+     *  26 bytes per record (three u64 fields, class and taken). */
     std::uint64_t
-    rawEmtrBytes() const
+    unpackedBytes() const
     {
         return 16 + recordCount * 26;
     }
 
-    /** Size reduction vs. raw EMTR (>1 means EMTC is smaller). */
+    /** Size reduction vs. unpacked (>1 means EMTC is smaller). */
     double
     compressionRatio() const
     {
-        return fileBytes > 0 ? static_cast<double>(rawEmtrBytes()) /
+        return fileBytes > 0 ? static_cast<double>(unpackedBytes()) /
                                    static_cast<double>(fileBytes)
                              : 0.0;
     }
@@ -170,6 +171,49 @@ class PackedTraceWriter
     std::uint64_t payloadBytes_ = 0;
     std::unordered_set<std::uint64_t> codeLines_;
     bool finished_ = false;
+};
+
+/**
+ * Decorator that tees a source into a PackedTraceWriter while the
+ * pipeline consumes it (emissary_sim --record). Overrides fill() so
+ * the batched frontend feed records whole batches through the inner
+ * source's bulk path; a recorded-then-replayed run is bit-identical
+ * to the live run (tests/test_tracefile.cpp).
+ */
+class RecordingSource : public trace::TraceSource
+{
+  public:
+    RecordingSource(trace::TraceSource &inner, PackedTraceWriter &writer)
+        : inner_(inner), writer_(writer)
+    {
+    }
+
+    trace::TraceRecord
+    next() override
+    {
+        const trace::TraceRecord rec = inner_.next();
+        writer_.append(rec);
+        return rec;
+    }
+
+    void
+    fill(trace::TraceRecord *out, std::size_t n) override
+    {
+        inner_.fill(out, n);
+        writer_.append(out, n);
+    }
+
+    const char *name() const override { return inner_.name(); }
+
+    std::uint64_t
+    uniqueCodeLines() const override
+    {
+        return inner_.uniqueCodeLines();
+    }
+
+  private:
+    trace::TraceSource &inner_;
+    PackedTraceWriter &writer_;
 };
 
 /**

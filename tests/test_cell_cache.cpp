@@ -4,7 +4,7 @@
  *
  *  - cell identity (core::cellCacheCanonical) covers exactly the
  *    inputs that can change a cell's Metrics — policy, config,
- *    workload content (synthetic seed, EMTR/EMTC bytes), execution
+ *    workload content (synthetic seed, EMTC container), execution
  *    role and build SHA — and nothing cosmetic (display names);
  *  - the ResultCache round-trips entries, verifies canonicals,
  *    survives restarts through its disk tier and rejects corrupt
@@ -211,25 +211,6 @@ TEST(CellKey, RoleKeyingSeparatesExactAndMonitorResults)
     EXPECT_NE(canonicalOf(w, "LRU", "P(8):S&E", 0), monitor);
 }
 
-TEST(CellKey, EmtrIdentityIsFileContent)
-{
-    const std::string path_a = tempPath("emtr_a", ".emtr");
-    const std::string path_b = tempPath("emtr_b", ".emtr");
-    writeFile(path_a, "emtr-payload-0123456789");
-    writeFile(path_b, "emtr-payload-0123456789");
-
-    const GridWorkload a("a", path_a, 10, 100);
-    const GridWorkload b("b", path_b, 10, 100);
-    EXPECT_EQ(canonicalOf(a), canonicalOf(b));
-
-    // One changed byte changes the identity; so does the window.
-    writeFile(path_b, "emtr-payload-0123456780");
-    EXPECT_NE(canonicalOf(b), canonicalOf(a));
-
-    const GridWorkload shifted("a", path_a, 11, 100);
-    EXPECT_NE(canonicalOf(shifted), canonicalOf(a));
-}
-
 TEST(CellKey, EmtcIdentityIsContainerContent)
 {
     trace::WorkloadProfile profile = trace::profileByName("tomcat");
@@ -263,11 +244,15 @@ TEST(CellKey, EmtcIdentityIsContainerContent)
     shorter.pop_back();
     const GridWorkload d("d", pack("emtc_d", shorter));
     EXPECT_NE(canonicalOf(d), canonicalOf(a));
+
+    // The served window is part of the identity too.
+    const GridWorkload shifted("a", a.tracePath, 1);
+    EXPECT_NE(canonicalOf(shifted), canonicalOf(a));
 }
 
 TEST(CellKey, UnreadableTraceThrows)
 {
-    const GridWorkload gone("gone", tempPath("missing", ".emtr"));
+    const GridWorkload gone("gone", tempPath("missing", ".trc"));
     EXPECT_THROW(canonicalOf(gone), std::runtime_error);
     const GridWorkload packed("gone", tempPath("missing", ".emtc"));
     EXPECT_THROW(canonicalOf(packed), std::runtime_error);

@@ -2,15 +2,15 @@
  * @file
  * emissary_sim: command-line driver for the simulator.
  *
- * Run any suite benchmark (or a recorded trace file) under any L2
+ * Run any suite benchmark (or a recorded EMTC trace) under any L2
  * replacement policy on the Alderlake-like machine, with every knob
  * of the paper's evaluation exposed as a flag.
  *
  * Examples:
  *   emissary_sim --benchmark tomcat --policy "P(8):S&E&R(1/32)"
  *   emissary_sim --benchmark verilator --policy DRRIP --csv
- *   emissary_sim --benchmark kafka --record kafka.trc
- *   emissary_sim --trace kafka.trc --policy "P(8):S&E"
+ *   emissary_sim --benchmark kafka --record kafka.emtc
+ *   emissary_sim --trace kafka.emtc --policy "P(8):S&E"
  *   emissary_sim --benchmark tomcat --no-fdip --policy TPLRU
  *
  * Sweeps fan out over the parallel experiment engine:
@@ -43,7 +43,6 @@
 #include "core/experiment.hh"
 #include "core/grid.hh"
 #include "core/observability.hh"
-#include "core/replay_build.hh"
 #include "core/result_cache.hh"
 #include "core/threadpool.hh"
 #include "stats/chrome_trace.hh"
@@ -53,7 +52,6 @@
 #include "stats/table.hh"
 #include "stats/trace_sink.hh"
 #include "trace/executor.hh"
-#include "trace/file.hh"
 #include "util/bitutil.hh"
 #include "util/strutil.hh"
 #include "workload/emtc.hh"
@@ -106,10 +104,10 @@ usage(const char *argv0)
         "usage: %s [options]\n"
         "  --benchmark NAME     suite benchmark (default tomcat)\n"
         "  --list               list suite benchmarks and exit\n"
-        "  --trace FILE         replay a recorded trace instead\n"
-        "                       (.emtc containers stream; .emtr/.trc\n"
-        "                       files are fully buffered)\n"
-        "  --record FILE        record the trace while simulating\n"
+        "  --trace FILE         replay an EMTC trace container\n"
+        "                       instead (streamed, CRC-checked)\n"
+        "  --record FILE        record the run's stream to an EMTC\n"
+        "                       container while simulating\n"
         "  --catalog FILE       sweep the workloads of a JSON\n"
         "                       manifest (docs/workloads.md);\n"
         "                       --benchmarks selects by name\n"
@@ -158,9 +156,9 @@ usage(const char *argv0)
         "                       every N committed instructions\n"
         "  --trace-out FILE     JSONL event trace of the measured\n"
         "                       window\n"
-        "  --trace-categories A,B  emit only the listed categories\n"
-        "                       (default: all; see docs/"
-        "observability.md)\n",
+        "  --trace-categories A,B  with --trace-out: emit only the\n"
+        "                       listed categories (default: all;\n"
+        "                       see docs/observability.md)\n",
         argv0);
 }
 
@@ -452,10 +450,15 @@ main(int argc, char **argv)
                                      "with --trace/--record\n");
                 return 2;
             }
-            if (!trace_out_path.empty() || sample_interval > 0) {
+            const char *single_run_flag =
+                !trace_out_path.empty()     ? "--trace-out"
+                : sample_interval > 0       ? "--sample-interval"
+                : !trace_categories.empty() ? "--trace-categories"
+                                            : nullptr;
+            if (single_run_flag) {
                 std::fprintf(stderr,
-                             "--trace-out/--sample-interval apply to "
-                             "single runs, not sweeps\n");
+                             "%s applies to single runs, not sweeps\n",
+                             single_run_flag);
                 return 2;
             }
             std::vector<std::string> selected;
@@ -577,36 +580,38 @@ main(int argc, char **argv)
             return 2;
         }
 
-        // Single run: one source — a live synthetic executor, an EMTC
-        // container or an EMTR file, optionally tee'd to --record —
+        if (!trace_categories.empty() && trace_out_path.empty()) {
+            std::fprintf(stderr,
+                         "--trace-categories needs --trace-out\n");
+            return 2;
+        }
+
+        // Single run: one source — a live synthetic executor or an
+        // EMTC container, optionally tee'd to a --record container —
         // driven by one execute call.
         std::unique_ptr<trace::SyntheticProgram> program;
         std::unique_ptr<trace::TraceSource> base_source;
         workload::PackedTraceSource *packed_source = nullptr;
-        trace::FileTraceSource *file_source = nullptr;
+        std::string workload_name = benchmark;
         if (trace_path.empty()) {
             program = std::make_unique<trace::SyntheticProgram>(
                 trace::profileByName(benchmark));
             base_source =
                 std::make_unique<trace::SyntheticExecutor>(*program);
-        } else if (core::isPackedTracePath(trace_path)) {
+        } else {
             auto packed =
                 std::make_unique<workload::PackedTraceSource>(trace_path);
             packed_source = packed.get();
+            workload_name = packed->info().name;
             base_source = std::move(packed);
-        } else {
-            auto file =
-                std::make_unique<trace::FileTraceSource>(trace_path);
-            file_source = file.get();
-            base_source = std::move(file);
         }
-        std::unique_ptr<trace::TraceWriter> writer;
-        std::unique_ptr<trace::RecordingSource> recorder;
+        std::unique_ptr<workload::PackedTraceWriter> writer;
+        std::unique_ptr<workload::RecordingSource> recorder;
         trace::TraceSource *source = base_source.get();
         if (!record_path.empty()) {
-            writer =
-                std::make_unique<trace::TraceWriter>(record_path);
-            recorder = std::make_unique<trace::RecordingSource>(
+            writer = std::make_unique<workload::PackedTraceWriter>(
+                record_path, workload_name);
+            recorder = std::make_unique<workload::RecordingSource>(
                 *base_source, *writer);
             source = recorder.get();
         }
@@ -650,39 +655,27 @@ main(int argc, char **argv)
             stats::JsonValue doc =
                 runJson(m, run_options, observers.registry,
                         observers.sampler, observers.wallSeconds);
-            if (!trace_path.empty()) {
+            if (packed_source) {
                 // Trace provenance: which file fed the run and how
                 // it was consumed.
                 stats::JsonValue provenance =
                     stats::JsonValue::object();
                 provenance.set("type", stats::JsonValue("trace"));
                 provenance.set("path", stats::JsonValue(trace_path));
-                if (packed_source) {
-                    const workload::TraceInfo &info =
-                        packed_source->info();
-                    provenance.set(
-                        "records",
-                        stats::JsonValue(
-                            packed_source->recordCount()));
-                    provenance.set(
-                        "wraps",
-                        stats::JsonValue(packed_source->wraps()));
-                    provenance.set("file_bytes",
-                                   stats::JsonValue(info.fileBytes));
-                    provenance.set(
-                        "unique_code_lines",
-                        stats::JsonValue(info.uniqueCodeLines));
-                    provenance.set(
-                        "compression_ratio",
-                        stats::JsonValue(info.compressionRatio()));
-                } else if (file_source) {
-                    provenance.set(
-                        "records",
-                        stats::JsonValue(file_source->recordCount()));
-                    provenance.set(
-                        "wraps",
-                        stats::JsonValue(file_source->wraps()));
-                }
+                const workload::TraceInfo &info =
+                    packed_source->info();
+                provenance.set(
+                    "records",
+                    stats::JsonValue(packed_source->recordCount()));
+                provenance.set(
+                    "wraps", stats::JsonValue(packed_source->wraps()));
+                provenance.set("file_bytes",
+                               stats::JsonValue(info.fileBytes));
+                provenance.set("unique_code_lines",
+                               stats::JsonValue(info.uniqueCodeLines));
+                provenance.set(
+                    "compression_ratio",
+                    stats::JsonValue(info.compressionRatio()));
                 doc.set("workload", std::move(provenance));
             }
             writeJsonOut(stats_json_path, doc);

@@ -3,14 +3,13 @@
  * trace_pack: build, inspect and verify EMTC trace containers.
  *
  * Subcommands:
- *   pack             EMTR file, or a synthetic benchmark, -> EMTC
+ *   pack             synthetic benchmark -> EMTC
  *   import-champsim  decompressed ChampSim trace -> EMTC
  *   export-champsim  synthetic benchmark -> ChampSim trace (fixtures)
  *   info             print container metadata, no block decoding
  *   verify           decode every block, check every CRC
  *
  * Examples:
- *   trace_pack pack kafka.trc kafka.emtc
  *   trace_pack pack --benchmark tomcat --records 2000000 tomcat.emtc
  *   xz -dc server.champsim.xz > server.champsim
  *   trace_pack import-champsim server.champsim server.emtc
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "trace/executor.hh"
-#include "trace/file.hh"
 #include "trace/profile.hh"
 #include "trace/program.hh"
 #include "workload/champsim.hh"
@@ -64,10 +62,10 @@ usage(const char *argv0)
     std::printf(
         "usage: %s <command> [options]\n"
         "\n"
-        "  pack [IN.emtr] OUT.emtc [--benchmark NAME --records N]\n"
+        "  pack OUT.emtc --benchmark NAME --records N\n"
         "                          [--records-per-block N]\n"
-        "      Convert a recorded EMTR trace to EMTC, or generate\n"
-        "      one directly from a suite benchmark.\n"
+        "      Generate a container from a suite benchmark\n"
+        "      (emissary_sim --record captures a simulated run).\n"
         "  import-champsim IN OUT.emtc [--name NAME]\n"
         "                          [--max-records N]\n"
         "      Convert a *decompressed* ChampSim trace. ChampSim\n"
@@ -104,17 +102,15 @@ printInfo(const workload::TraceInfo &info)
                     ? static_cast<double>(info.packedPayloadBytes) /
                           static_cast<double>(info.recordCount)
                     : 0.0);
-    std::printf("raw EMTR bytes:     %llu\n",
-                static_cast<unsigned long long>(info.rawEmtrBytes()));
-    std::printf("compression ratio:  %.2fx vs EMTR\n",
+    std::printf("unpacked bytes:     %llu (26 B/record)\n",
+                static_cast<unsigned long long>(info.unpackedBytes()));
+    std::printf("compression ratio:  %.2fx vs unpacked\n",
                 info.compressionRatio());
 }
 
 int
 cmdPack(const std::vector<std::string> &args)
 {
-    std::string input;
-    std::string output;
     std::string benchmark;
     std::uint64_t records = 0;
     std::uint32_t records_per_block = workload::kDefaultRecordsPerBlock;
@@ -139,56 +135,28 @@ cmdPack(const std::vector<std::string> &args)
             positional.push_back(args[i]);
     }
 
-    if (!benchmark.empty()) {
-        if (positional.size() != 1 || records == 0) {
-            std::fprintf(stderr,
-                         "pack --benchmark needs --records N and "
-                         "exactly one output path\n");
-            return 2;
-        }
-        output = positional[0];
-        const trace::SyntheticProgram program(
-            trace::profileByName(benchmark));
-        trace::SyntheticExecutor executor(program);
-        workload::PackedTraceWriter writer(output, benchmark,
-                                           records_per_block);
-        constexpr std::size_t kChunk = 4096;
-        std::vector<trace::TraceRecord> chunk(kChunk);
-        std::uint64_t remaining = records;
-        while (remaining > 0) {
-            const std::size_t n = static_cast<std::size_t>(
-                remaining < kChunk ? remaining : kChunk);
-            executor.fill(chunk.data(), n);
-            writer.append(chunk.data(), n);
-            remaining -= n;
-        }
-        writer.finish();
-    } else {
-        if (positional.size() != 2) {
-            std::fprintf(stderr,
-                         "pack needs an input EMTR and an output "
-                         "EMTC path\n");
-            return 2;
-        }
-        input = positional[0];
-        output = positional[1];
-        trace::FileTraceSource source(input);
-        workload::PackedTraceWriter writer(
-            output, std::string("trace:") + input,
-            records_per_block);
-        const std::uint64_t total = source.recordCount();
-        constexpr std::size_t kChunk = 4096;
-        std::vector<trace::TraceRecord> chunk(kChunk);
-        std::uint64_t remaining = total;
-        while (remaining > 0) {
-            const std::size_t n = static_cast<std::size_t>(
-                remaining < kChunk ? remaining : kChunk);
-            source.fill(chunk.data(), n);
-            writer.append(chunk.data(), n);
-            remaining -= n;
-        }
-        writer.finish();
+    if (benchmark.empty() || positional.size() != 1 || records == 0) {
+        std::fprintf(stderr, "pack needs --benchmark NAME, --records N "
+                             "and exactly one output path\n");
+        return 2;
     }
+    const std::string &output = positional[0];
+    const trace::SyntheticProgram program(
+        trace::profileByName(benchmark));
+    trace::SyntheticExecutor executor(program);
+    workload::PackedTraceWriter writer(output, benchmark,
+                                       records_per_block);
+    constexpr std::size_t kChunk = 4096;
+    std::vector<trace::TraceRecord> chunk(kChunk);
+    std::uint64_t remaining = records;
+    while (remaining > 0) {
+        const std::size_t n = static_cast<std::size_t>(
+            remaining < kChunk ? remaining : kChunk);
+        executor.fill(chunk.data(), n);
+        writer.append(chunk.data(), n);
+        remaining -= n;
+    }
+    writer.finish();
     printInfo(workload::readTraceInfo(output));
     return 0;
 }
