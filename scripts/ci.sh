@@ -27,7 +27,8 @@
 #   5. Cell-cache smoke: run one 2x2 emissary_sim sweep twice
 #      against the same --cache-dir; the second sweep must serve
 #      every cell from the cache with metrics equal to the first's
-#   6. AddressSanitizer build + full test suite
+#   6. AddressSanitizer + UndefinedBehaviorSanitizer build + full
+#      test suite (a UBSan finding fails the test)
 #   7. ThreadSanitizer build + the "threaded" test label
 #
 # An optional "lto" stage rebuilds Release with EMISSARY_LTO=ON and
@@ -286,11 +287,11 @@ EOF
             -DEMISSARY_LTO=ON
         ;;
     asan)
-        run_stage "AddressSanitizer build + tests"
+        run_stage "AddressSanitizer + UBSan build + tests"
         CTEST_ARGS=()
         configure_build_test build-ci-asan \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-            -DEMISSARY_SANITIZE=address
+            -DEMISSARY_SANITIZE=address,undefined
         ;;
     tsan)
         run_stage "ThreadSanitizer build + threaded tests"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
 
 namespace emissary::backend
 {
@@ -39,8 +40,9 @@ Backend::depReady(std::uint64_t seq, std::uint64_t pc) const
     const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
     if (u >= config_.depFraction)
         return 0;
+    // h >> 32 fits 32 bits: a 32-bit modulo, not a 64-bit divide.
     const std::uint64_t distance =
-        1 + (h >> 32) % config_.depWindow;
+        1 + static_cast<std::uint32_t>(h >> 32) % config_.depWindow;
     if (seq < distance)
         return 0;
     return completionRing_[(seq - distance) % kRingSize];
@@ -76,9 +78,9 @@ Backend::canAccept() const
            sqOccupancy_ < config_.sqEntries;
 }
 
+template <typename Queue>
 void
-Backend::issueStage(std::uint64_t now,
-                    std::deque<core::DynInst> &decode_queue,
+Backend::issueStage(std::uint64_t now, Queue &decode_queue,
                     std::optional<std::uint64_t> pending_line)
 {
     if (decode_queue.empty()) {
@@ -160,6 +162,13 @@ Backend::issueStage(std::uint64_t now,
     if (moved > 0)
         ++stats_.decodeActiveCycles;
 }
+
+template void Backend::issueStage(std::uint64_t,
+                                  FixedRing<core::DynInst> &,
+                                  std::optional<std::uint64_t>);
+template void Backend::issueStage(std::uint64_t,
+                                  std::deque<core::DynInst> &,
+                                  std::optional<std::uint64_t>);
 
 void
 Backend::scheduleCompletion(std::uint64_t cycle, bool is_load)

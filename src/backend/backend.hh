@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -134,9 +133,11 @@ class Backend
      * the window, issuing memory requests for loads/stores. Also
      * evaluates the decode-starvation condition when the queue is
      * empty; @p pending_line names the line fetch is waiting on.
+     * Instantiated for the simulator's FixedRing<core::DynInst> and
+     * for a std::deque<core::DynInst>.
      */
-    void issueStage(std::uint64_t now,
-                    std::deque<core::DynInst> &decode_queue,
+    template <typename Queue>
+    void issueStage(std::uint64_t now, Queue &decode_queue,
                     std::optional<std::uint64_t> pending_line);
 
     /** True when dispatch has window space this cycle. */

@@ -248,18 +248,28 @@ Cache::findPosition(std::uint64_t line_addr, unsigned &set,
     return true;
 }
 
-void
-Cache::touch(std::uint64_t line_addr)
+CacheLine *
+Cache::access(std::uint64_t line_addr)
 {
     const unsigned set = setIndex(line_addr);
-    const int way = findWay(set, line_addr >> tagShift_);
-    assert(way >= 0 && "touch on absent line");
-    CacheLine &line = lineAt(set, static_cast<unsigned>(way));
+    const int found = findWay(set, line_addr >> tagShift_);
+    if (found < 0)
+        return nullptr;
+    const unsigned way = static_cast<unsigned>(found);
+    CacheLine &line = lineAt(set, way);
     line.prefetched = false;
     replacement::LineInfo info;
     info.isInstruction = line.isInstruction;
     info.highPriority = line.priority;
-    policyHit(set, static_cast<unsigned>(way), info);
+    policyHit(set, way, info);
+    return &line;
+}
+
+void
+Cache::touch(std::uint64_t line_addr)
+{
+    [[maybe_unused]] const CacheLine *line = access(line_addr);
+    assert(line && "touch on absent line");
 }
 
 Cache::Eviction
@@ -276,7 +286,9 @@ Cache::insert(std::uint64_t line_addr, const replacement::LineInfo &info,
         way = static_cast<int>(policySelectVictim(set));
         CacheLine &victim = lineAt(set, static_cast<unsigned>(way));
         evicted.valid = true;
-        evicted.lineAddr = (victim.tag << tagShift_) |
+        evicted.lineAddr = (tags_[std::size_t{set} * config_.ways +
+                                  static_cast<unsigned>(way)]
+                            << tagShift_) |
                            (std::uint64_t{set} << config_.indexShift) |
                            config_.indexOffset;
         evicted.line = victim;
@@ -288,7 +300,6 @@ Cache::insert(std::uint64_t line_addr, const replacement::LineInfo &info,
 
     CacheLine &line = lineAt(set, static_cast<unsigned>(way));
     line.valid = true;
-    line.tag = tag;
     line.dirty = dirty;
     line.isInstruction = is_instruction;
     line.priority = info.highPriority;
@@ -325,14 +336,6 @@ void
 Cache::noteDemandMiss(std::uint64_t line_addr)
 {
     policy_->onMiss(setIndex(line_addr));
-}
-
-void
-Cache::markDirty(std::uint64_t line_addr)
-{
-    CacheLine *line = peek(line_addr);
-    assert(line && "markDirty on absent line");
-    line->dirty = true;
 }
 
 void

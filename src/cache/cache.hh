@@ -29,10 +29,9 @@ class EmissaryPolicy;
 namespace emissary::cache
 {
 
-/** State of one cache line. */
+/** State of one cache line (its tag lives in Cache's tag lane). */
 struct CacheLine
 {
-    std::uint64_t tag = 0;
     bool valid = false;
     bool dirty = false;
     bool isInstruction = false;
@@ -108,7 +107,15 @@ class Cache
     bool findPosition(std::uint64_t line_addr, unsigned &set,
                       unsigned &way) const;
 
-    /** Hit path: update replacement state; line must be present. */
+    /**
+     * Lookup that counts as a use: on a hit, clear the line's
+     * prefetched bit, update the replacement state and return the
+     * line (one tag search); nullptr when absent, with nothing
+     * changed.
+     */
+    CacheLine *access(std::uint64_t line_addr);
+
+    /** access() of a line that must be present. */
     void touch(std::uint64_t line_addr);
 
     /**
@@ -135,9 +142,6 @@ class Cache
 
     /** Demand-miss feedback to set-dueling policies. */
     void noteDemandMiss(std::uint64_t line_addr);
-
-    /** Mark a store hit dirty. */
-    void markDirty(std::uint64_t line_addr);
 
     /** EMISSARY: raise the priority bit of a resident line. */
     void raisePriority(std::uint64_t line_addr);
@@ -225,9 +229,9 @@ class Cache
     /**
      * Lookup path, struct-of-arrays: per-set contiguous tags (invalid
      * ways hold kInvalidTag), so findWay streams through one or two
-     * cache lines instead of striding over CacheLine structs.
-     * Invariant: tags_[set*ways+w] mirrors lines_[set*ways+w]
-     * (tag when valid, kInvalidTag otherwise).
+     * cache lines instead of striding over CacheLine structs. The
+     * only copy of each line's tag: tags_[set*ways+w] holds
+     * lines_[set*ways+w]'s tag when valid, kInvalidTag otherwise.
      */
     std::vector<std::uint64_t> tags_;
     std::vector<CacheLine> lines_;

@@ -25,10 +25,8 @@ Hierarchy::requestInstruction(std::uint64_t line_addr, std::uint64_t now,
     if (demandish)
         ++stats_.l1iAccesses;
 
-    if (l1i_.peek(line_addr)) {
-        l1i_.touch(line_addr);
+    if (l1i_.access(line_addr))
         return now + config_.l1i.hitLatency;
-    }
 
     const auto it = mshr_.find(line_addr);
     if (it != mshr_.end()) {
@@ -59,10 +57,9 @@ Hierarchy::requestData(std::uint64_t line_addr, std::uint64_t now,
     if (demandish)
         ++stats_.l1dAccesses;
 
-    if (l1d_.peek(line_addr)) {
-        l1d_.touch(line_addr);
+    if (CacheLine *l1d_line = l1d_.access(line_addr)) {
         if (write)
-            l1d_.markDirty(line_addr);
+            l1d_line->dirty = true;
         return now + config_.l1d.hitLatency;
     }
 
@@ -108,10 +105,9 @@ Hierarchy::missBelowL1(std::uint64_t line_addr, std::uint64_t now,
         }
     }
 
-    if (CacheLine *l2_line = l2_.peek(line_addr)) {
+    if (const CacheLine *l2_line = l2_.access(line_addr)) {
         if (is_instruction && l2_line->priority)
             ++stats_.l2InstHitsProtected;
-        l2_.touch(line_addr);
         latency += config_.l2.hitLatency;
         entry.source = FillSource::L2;
     } else {
@@ -340,8 +336,8 @@ Hierarchy::complete(std::uint64_t line_addr, Mshr &entry)
         if (ev.valid && ev.line.dirty) {
             // Write back into L2 (present by inclusion except when a
             // concurrent L2 eviction already pushed it out).
-            if (l2_.peek(ev.lineAddr))
-                l2_.markDirty(ev.lineAddr);
+            if (CacheLine *l2_line = l2_.peek(ev.lineAddr))
+                l2_line->dirty = true;
             else
                 ++stats_.dramWrites;
         }

@@ -96,10 +96,9 @@ PolicyLaneBank::probe(std::uint64_t line_addr, bool is_instruction,
             else
                 ++lane.stats.l2DataAccesses;
         }
-        if (CacheLine *l2_line = lane.l2.peek(line_addr)) {
+        if (const CacheLine *l2_line = lane.l2.access(line_addr)) {
             if (is_instruction && l2_line->priority)
                 ++lane.stats.l2InstHitsProtected;
-            lane.l2.touch(line_addr);
             code = static_cast<unsigned>(Hierarchy::FillSource::L2) + 1;
         } else {
             if (demandish) {
@@ -300,8 +299,8 @@ PolicyLaneBank::completeData(std::uint64_t line_addr,
             // The shared L1D displaced a dirty line: fold it into
             // the lane's L2 copy, or count a DRAM write when the
             // lane no longer holds it.
-            if (lane.l2.peek(l1d_ev.lineAddr))
-                lane.l2.markDirty(l1d_ev.lineAddr);
+            if (CacheLine *l2_line = lane.l2.peek(l1d_ev.lineAddr))
+                l2_line->dirty = true;
             else
                 ++lane.stats.dramWrites;
         }

@@ -77,7 +77,8 @@ Simulator::Simulator(const Config &config, trace::TraceSource &source)
       source_(source),
       hierarchy_(config.machine.hierarchy),
       frontend_(config.machine.frontend, source, hierarchy_),
-      backend_(config.machine.backend, hierarchy_)
+      backend_(config.machine.backend, hierarchy_),
+      decodeQueue_(config.machine.frontend.decodeQueueCap)
 {
     backend_.setResolveCallback(
         [this](std::uint64_t seq, std::uint64_t cycle) {

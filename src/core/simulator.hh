@@ -17,7 +17,6 @@
 #define EMISSARY_CORE_SIMULATOR_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 
@@ -30,6 +29,7 @@
 #include "stats/sampler.hh"
 #include "stats/trace_sink.hh"
 #include "trace/record.hh"
+#include "util/ring.hh"
 
 namespace emissary::core
 {
@@ -206,7 +206,8 @@ class Simulator
     cache::Hierarchy hierarchy_;
     frontend::FrontEnd frontend_;
     backend::Backend backend_;
-    std::deque<DynInst> decodeQueue_;
+    /** Fetched instructions awaiting decode (decodeQueueCap). */
+    FixedRing<DynInst> decodeQueue_;
     std::uint64_t now_ = 0;
     std::uint64_t lastPriorityReset_ = 0;
     /** Cycle the measurement window opened at. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
 
 namespace emissary::frontend
 {
@@ -25,21 +26,28 @@ FrontEnd::buildBlock(FtqEntry &entry)
     entry.instrs.clear();
     entry.lines.clear();
     entry.consumed = 0;
+    entry.lineCursor = 0;
+    entry.lineConsumed = 0;
     entry.linesRequested = false;
     std::uint64_t last_line = ~std::uint64_t{0};
     while (true) {
-        core::DynInst inst;
+        core::DynInst &inst = entry.instrs.emplace_back();
         inst.rec = nextRecord();
         inst.seq = ++seq_;
 
         const std::uint64_t line = inst.rec.pc >> kLineShift;
         if (line != last_line) {
-            entry.lines.push_back(FtqEntry::LineState{line, 0, false});
+            // A revisited line's run is gated by its first run's
+            // fill, the block's first request for that line.
+            unsigned first = 0;
+            while (first < entry.lines.size() &&
+                   entry.lines[first].lineAddr != line)
+                ++first;
+            entry.lines.push_back(FtqEntry::LineState{line, 0, 0, first});
             last_line = line;
         }
-        const bool is_control = trace::isControl(inst.rec.cls);
-        entry.instrs.push_back(inst);
-        if (is_control ||
+        ++entry.lines.back().instrs;
+        if (trace::isControl(inst.rec.cls) ||
             entry.instrs.size() >= config_.maxBlockInstrs)
             break;
     }
@@ -192,17 +200,14 @@ void
 FrontEnd::requestLines(FtqEntry &entry, std::uint64_t now,
                        cache::RequestKind kind)
 {
+    assert(!entry.linesRequested);
     for (auto &line : entry.lines) {
-        if (line.requested)
-            continue;
         line.readyCycle =
             hierarchy_.requestInstruction(line.lineAddr, now, kind);
-        line.requested = true;
         if (kind == cache::RequestKind::Fdip)
             ++stats_.fdipRequests;
     }
-    if (!entry.linesRequested)
-        --unrequested_;
+    --unrequested_;
     entry.linesRequested = true;
 }
 
@@ -223,9 +228,9 @@ FrontEnd::prefetch(std::uint64_t now)
     }
 }
 
+template <typename Queue>
 void
-FrontEnd::fetch(std::uint64_t now,
-                std::deque<core::DynInst> &decode_queue)
+FrontEnd::fetch(std::uint64_t now, Queue &decode_queue)
 {
     unsigned budget = config_.fetchWidth;
     while (budget > 0 && !ftq_.empty() &&
@@ -239,13 +244,25 @@ FrontEnd::fetch(std::uint64_t now,
                                       : cache::RequestKind::Demand);
         }
 
-        if (headLine(entry).readyCycle > now)
+        if (entry.headLine().readyCycle > now)
             break;  // Head line still in flight: fetch stalls.
 
-        decode_queue.push_back(entry.instrs[entry.consumed]);
-        ++stats_.fetchedInstrs;
-        ++entry.consumed;
-        --budget;
+        // Deliver from the head run as far as the budget and the
+        // queue allow; the next run is checked on the next pass.
+        const FtqEntry::LineState &run = entry.lines[entry.lineCursor];
+        const unsigned n = static_cast<unsigned>(std::min<std::size_t>(
+            {budget, run.instrs - entry.lineConsumed,
+             config_.decodeQueueCap - decode_queue.size()}));
+        for (unsigned i = 0; i < n; ++i)
+            decode_queue.push_back(entry.instrs[entry.consumed + i]);
+        stats_.fetchedInstrs += n;
+        entry.consumed += n;
+        budget -= n;
+        entry.lineConsumed += n;
+        if (entry.lineConsumed == run.instrs) {
+            ++entry.lineCursor;
+            entry.lineConsumed = 0;
+        }
         if (entry.consumed == entry.instrs.size()) {
             ftqInstrCount_ -=
                 static_cast<unsigned>(entry.instrs.size());
@@ -253,6 +270,11 @@ FrontEnd::fetch(std::uint64_t now,
         }
     }
 }
+
+template void FrontEnd::fetch(std::uint64_t,
+                              FixedRing<core::DynInst> &);
+template void FrontEnd::fetch(std::uint64_t,
+                              std::deque<core::DynInst> &);
 
 void
 FrontEnd::onBranchResolved(std::uint64_t seq, std::uint64_t cycle)
@@ -277,7 +299,7 @@ FrontEnd::pendingFetchLine(std::uint64_t now) const
     const FtqEntry &entry = ftq_.front();
     if (!entry.linesRequested)
         return std::nullopt;
-    const FtqEntry::LineState &line = headLine(entry);
+    const FtqEntry::LineState &line = entry.headLine();
     if (line.readyCycle > now)
         return line.lineAddr;
     return std::nullopt;
@@ -306,7 +328,7 @@ FrontEnd::nextEvent(std::uint64_t now,
             if (room)
                 return now;
         } else {
-            const std::uint64_t ready = headLine(head).readyCycle;
+            const std::uint64_t ready = head.headLine().readyCycle;
             if (ready > now)
                 next = std::min(next, ready);
             else if (room)

@@ -20,11 +20,8 @@
 #ifndef EMISSARY_FRONTEND_FRONTEND_HH
 #define EMISSARY_FRONTEND_FRONTEND_HH
 
-#include <algorithm>
 #include <array>
-#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -80,17 +77,34 @@ struct FrontEndStats
 /** One FTQ entry: a predicted dynamic basic block. */
 struct FtqEntry
 {
+    /** One run of the block's instructions on a single line. */
     struct LineState
     {
         std::uint64_t lineAddr = 0;
         std::uint64_t readyCycle = 0;
-        bool requested = false;
+        /** Instructions of the run (consecutive, in PC order). */
+        unsigned instrs = 0;
+        /** Index of the block's first run on the same line, whose
+         *  fill gates fetch from this run (itself unless the block
+         *  revisits the line). */
+        unsigned first = 0;
     };
 
     std::vector<core::DynInst> instrs;
-    std::vector<LineState> lines;  ///< Unique lines, in PC order.
+    /** Line runs in fetch order; a line the block revisits after
+     *  leaving it gets a run of its own. */
+    std::vector<LineState> lines;
     unsigned consumed = 0;         ///< Instructions already fetched.
+    unsigned lineCursor = 0;       ///< Run holding instrs[consumed].
+    unsigned lineConsumed = 0;     ///< Of that run, already fetched.
     bool linesRequested = false;   ///< FDIP / fetch issued requests.
+
+    /** Fill state gating the next instruction's fetch. */
+    const LineState &
+    headLine() const
+    {
+        return lines[lines[lineCursor].first];
+    }
 };
 
 /** The decoupled front-end. */
@@ -126,10 +140,12 @@ class FrontEnd
 
     /**
      * Fetch stage: deliver line-ready instructions from the FTQ head
-     * into @p decode_queue, up to fetchWidth.
+     * into @p decode_queue, up to fetchWidth. Instantiated for the
+     * simulator's FixedRing<core::DynInst> and for a
+     * std::deque<core::DynInst>.
      */
-    void fetch(std::uint64_t now,
-               std::deque<core::DynInst> &decode_queue);
+    template <typename Queue>
+    void fetch(std::uint64_t now, Queue &decode_queue);
 
     /** Back-end callback: the mispredicted branch @p seq resolved. */
     void onBranchResolved(std::uint64_t seq, std::uint64_t cycle);
@@ -216,22 +232,6 @@ class FrontEnd
     {
         return ftq_.size() >= config_.ftqEntries ||
                ftqInstrCount_ >= config_.ftqInstrs;
-    }
-
-    /** Fill state of the line holding @p entry's next instruction
-     *  (per fetched instruction, so kept inline). */
-    static const FtqEntry::LineState &
-    headLine(const FtqEntry &entry)
-    {
-        const std::uint64_t line =
-            entry.instrs[entry.consumed].rec.pc >> kLineShift;
-        const auto it = std::find_if(
-            entry.lines.begin(), entry.lines.end(),
-            [line](const FtqEntry::LineState &ls) {
-                return ls.lineAddr == line;
-            });
-        assert(it != entry.lines.end());
-        return *it;
     }
 
     /** Predict/teach the terminator; set halt/penalty state. */

@@ -1,7 +1,9 @@
 #include "replacement/emissary.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
 
 namespace emissary::replacement
 {
@@ -14,7 +16,9 @@ EmissaryPolicy::EmissaryPolicy(unsigned num_sets, unsigned num_ways,
       maxProtected_(max_protected),
       treePlru_(tree_plru)
 {
-    priority_.assign(std::size_t{num_sets} * num_ways, 0);
+    if (num_ways > 64)
+        throw std::invalid_argument("EmissaryPolicy: at most 64 ways");
+    highMask_.assign(num_sets, 0);
     highCount_.assign(num_sets, 0);
     if (treePlru_) {
         lowTrees_.assign(num_sets, PlruTree(num_ways));
@@ -25,16 +29,10 @@ EmissaryPolicy::EmissaryPolicy(unsigned num_sets, unsigned num_ways,
     }
 }
 
-std::uint8_t &
-EmissaryPolicy::prio(unsigned set, unsigned way)
-{
-    return priority_[std::size_t{set} * ways_ + way];
-}
-
 bool
 EmissaryPolicy::linePriority(unsigned set, unsigned way) const
 {
-    return priority_[std::size_t{set} * ways_ + way] != 0;
+    return ((highMask_[set] >> way) & 1) != 0;
 }
 
 unsigned
@@ -64,10 +62,12 @@ EmissaryPolicy::victimTrueLru(unsigned set, bool among_high) const
 unsigned
 EmissaryPolicy::victimTree(unsigned set, bool among_high)
 {
-    PlruTree &tree = among_high ? highTrees_[set] : lowTrees_[set];
-    return tree.victimAmong([this, set, among_high](unsigned w) {
-        return linePriority(set, w) == among_high;
-    });
+    // Tree mode has at most 32 ways (PlruTree), so the class's
+    // mask fits the tree's 32-bit eligibility argument.
+    const std::uint32_t high = static_cast<std::uint32_t>(highMask_[set]);
+    if (among_high)
+        return highTrees_[set].victimAmong(high);
+    return lowTrees_[set].victimAmong(~high);
 }
 
 unsigned
@@ -92,14 +92,16 @@ void
 EmissaryPolicy::onInsert(unsigned set, unsigned way,
                          const LineInfo &info)
 {
-    std::uint8_t &p = prio(set, way);
-    assert(!p && "cache must invalidate a way before re-filling it");
-    p = info.highPriority ? 1 : 0;
-    if (p)
+    assert(!linePriority(set, way) &&
+           "cache must invalidate a way before re-filling it");
+    const bool high = info.highPriority;
+    if (high) {
+        highMask_[set] |= std::uint64_t{1} << way;
         ++highCount_[set];
+    }
 
     if (treePlru_) {
-        (p ? highTrees_[set] : lowTrees_[set]).touch(way);
+        (high ? highTrees_[set] : lowTrees_[set]).touch(way);
     } else {
         stamps_[std::size_t{set} * ways_ + way] = ++clock_;
     }
@@ -123,12 +125,11 @@ EmissaryPolicy::onHit(unsigned set, unsigned way, const LineInfo &info)
 void
 EmissaryPolicy::onInvalidate(unsigned set, unsigned way)
 {
-    std::uint8_t &p = prio(set, way);
-    if (p) {
+    if (linePriority(set, way)) {
         assert(highCount_[set] > 0);
         --highCount_[set];
+        highMask_[set] &= ~(std::uint64_t{1} << way);
     }
-    p = 0;
     if (!treePlru_) {
         stamps_[std::size_t{set} * ways_ + way] =
             std::numeric_limits<std::int64_t>::min() / 2;
@@ -138,8 +139,7 @@ EmissaryPolicy::onInvalidate(unsigned set, unsigned way)
 bool
 EmissaryPolicy::setPriority(unsigned set, unsigned way, bool high)
 {
-    std::uint8_t &p = prio(set, way);
-    if ((p != 0) == high)
+    if (linePriority(set, way) == high)
         return true;
     // Priority is sticky for a line's lifetime: it can be raised (an
     // L1I eviction communicating starvation history) but is only
@@ -151,7 +151,7 @@ EmissaryPolicy::setPriority(unsigned set, unsigned way, bool high)
     if (high) {
         if (highCount_[set] >= maxProtected_)
             return false;
-        p = 1;
+        highMask_[set] |= std::uint64_t{1} << way;
         ++highCount_[set];
         if (treePlru_) {
             // The line now belongs to the high-priority class; mark
@@ -166,7 +166,7 @@ EmissaryPolicy::setPriority(unsigned set, unsigned way, bool high)
 void
 EmissaryPolicy::resetPriorities()
 {
-    std::fill(priority_.begin(), priority_.end(), 0);
+    std::fill(highMask_.begin(), highMask_.end(), 0);
     std::fill(highCount_.begin(), highCount_.end(), 0);
 }
 

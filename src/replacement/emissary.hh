@@ -76,7 +76,6 @@ class EmissaryPolicy final : public ReplacementPolicy
     }
 
   private:
-    std::uint8_t &prio(unsigned set, unsigned way);
     unsigned victimTrueLru(unsigned set, bool among_high) const;
     unsigned victimTree(unsigned set, bool among_high);
 
@@ -84,9 +83,10 @@ class EmissaryPolicy final : public ReplacementPolicy
     unsigned maxProtected_;
     bool treePlru_;
 
-    /** Per-line priority bits (policy-side copy, kept in sync with
-     *  the cache's line state via onInsert/setPriority). */
-    std::vector<std::uint8_t> priority_;
+    /** Per-set priority bits, bit w = way w (policy-side copy, kept
+     *  in sync with the cache's line state via onInsert/setPriority):
+     *  at most 64 ways. */
+    std::vector<std::uint64_t> highMask_;
     /** Cached count of P=1 lines per set. */
     std::vector<std::uint16_t> highCount_;
 

@@ -20,8 +20,11 @@ namespace emissary::replacement
 
 /**
  * A standalone TPLRU tree over @p ways leaves (ways must be a power
- * of two). Exposed separately so EMISSARY can keep one tree per
- * priority class per set.
+ * of two, at most 32). Exposed separately so EMISSARY can keep one
+ * tree per priority class per set. The ways-1 node bits live inline
+ * (bit n = node n in heap order, set when the right half is the
+ * less recently touched one), so a per-set array of trees is one
+ * flat allocation.
  */
 class PlruTree
 {
@@ -35,53 +38,18 @@ class PlruTree
     unsigned victim() const;
 
     /**
-     * Follow the tree to the pseudo-LRU leaf among the ways for which
-     * @p eligible returns true, skipping ineligible subtrees (the
+     * Follow the tree to the pseudo-LRU leaf among the ways whose
+     * bit is set in @p eligible, skipping ineligible subtrees (the
      * "skipping any lines that do not match the priority criteria"
      * rule of §4.2). At least one way must be eligible.
      */
-    template <typename Pred>
-    unsigned
-    victimAmong(Pred eligible) const
-    {
-        unsigned node = 0;
-        unsigned lo = 0;
-        unsigned hi = ways_;
-        while (hi - lo > 1) {
-            const unsigned mid = lo + (hi - lo) / 2;
-            bool go_right = bits_[node] != 0;
-            const bool left_ok = anyEligible(lo, mid, eligible);
-            const bool right_ok = anyEligible(mid, hi, eligible);
-            if (go_right && !right_ok)
-                go_right = false;
-            else if (!go_right && !left_ok)
-                go_right = true;
-            if (go_right) {
-                node = 2 * node + 2;
-                lo = mid;
-            } else {
-                node = 2 * node + 1;
-                hi = mid;
-            }
-        }
-        return lo;
-    }
+    unsigned victimAmong(std::uint32_t eligible) const;
 
     unsigned ways() const { return ways_; }
 
   private:
-    template <typename Pred>
-    bool
-    anyEligible(unsigned lo, unsigned hi, Pred &eligible) const
-    {
-        for (unsigned w = lo; w < hi; ++w)
-            if (eligible(w))
-                return true;
-        return false;
-    }
-
+    std::uint32_t bits_ = 0;
     unsigned ways_;
-    std::vector<std::uint8_t> bits_;  ///< ways-1 nodes, heap order.
 };
 
 /** Plain TPLRU replacement policy (the TPLRU + FDIP baseline).

@@ -105,7 +105,7 @@ TEST(Cache, DirtyTracking)
 {
     Cache cache(smallConfig());
     cache.insert(7, instrInfo(), false, false, false, false);
-    cache.markDirty(7);
+    cache.access(7)->dirty = true;
     EXPECT_TRUE(cache.peek(7)->dirty);
 }
 

@@ -9,6 +9,10 @@
  * matching after invalidate, an empty-way probe missing a free way,
  * an eviction the model did not predict possible — fails here.
  *
+ * A twin cache driven only through peek + touch checks that the
+ * single-probe access() leaves the same replacement state: both must
+ * choose the same victim on every insert.
+ *
  * Runs for TPLRU and EMISSARY (the devirtualized fast paths) and a
  * Generic-dispatch family, and is part of the ASan CI stage, which
  * catches out-of-bounds tag-lane indexing the assertions cannot.
@@ -104,6 +108,7 @@ stressPolicy(const std::string &policy, std::uint64_t seed)
     config.policy = replacement::PolicySpec::parse(policy);
     config.seed = seed;
     Cache cache(config);
+    Cache twin(config);
 
     const unsigned sets = cache.numSets();
     const unsigned ways = cache.numWays();
@@ -131,9 +136,18 @@ stressPolicy(const std::string &policy, std::uint64_t seed)
 
         const std::uint64_t action = rng.nextBelow(10);
         if (action < 6) {
-            // Access: touch on hit, fill on miss.
+            // Access: touch on hit, fill on miss. Half the accesses
+            // probe with access() (one tag search), the other half
+            // with touch(); the twin always takes peek + touch.
+            if (action < 3) {
+                ASSERT_EQ(cache.access(line_addr), peeked)
+                    << "op " << op;
+            }
             if (present_model) {
-                cache.touch(line_addr);
+                if (action >= 3)
+                    cache.touch(line_addr);
+                ASSERT_NE(twin.peek(line_addr), nullptr);
+                twin.touch(line_addr);
             } else {
                 replacement::LineInfo info;
                 info.isInstruction = (action % 2) == 0;
@@ -142,8 +156,14 @@ stressPolicy(const std::string &policy, std::uint64_t seed)
                 const Cache::Eviction evicted = cache.insert(
                     line_addr, info, info.isInstruction, false,
                     false, false);
+                const Cache::Eviction twin_evicted = twin.insert(
+                    line_addr, info, info.isInstruction, false,
+                    false, false);
                 ++inserts;
                 ASSERT_EQ(evicted.valid, was_full) << "op " << op;
+                ASSERT_EQ(twin_evicted.valid, evicted.valid);
+                ASSERT_EQ(twin_evicted.way, evicted.way) << "op " << op;
+                ASSERT_EQ(twin_evicted.lineAddr, evicted.lineAddr);
                 if (evicted.valid) {
                     ++evictions;
                     // The victim must be a line the model knows is
@@ -164,14 +184,18 @@ stressPolicy(const std::string &policy, std::uint64_t seed)
             // Back-invalidate (present or not — both must work).
             const Cache::Eviction removed =
                 cache.invalidate(line_addr);
+            twin.invalidate(line_addr);
             ASSERT_EQ(removed.valid, present_model) << "op " << op;
             model.erase(line_addr);
             ASSERT_EQ(cache.peek(line_addr), nullptr);
         } else if (action < 9) {
-            if (present_model)
+            if (present_model) {
                 cache.raisePriority(line_addr);
+                twin.raisePriority(line_addr);
+            }
         } else {
             cache.noteDemandMiss(line_addr);
+            twin.noteDemandMiss(line_addr);
         }
     }
 

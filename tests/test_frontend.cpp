@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <optional>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -226,6 +227,73 @@ TEST(FrontEnd, FdipOffDelaysRequestsUntilFetch)
     rig.cycle(0);
     // With FDIP off, the BPU formed a block but no FDIP stats accrue.
     EXPECT_EQ(rig.frontend.stats().fdipRequests, 0u);
+}
+
+TEST(FrontEnd, RevisitedLineUsesItsFirstRequest)
+{
+    // One block whose non-control records run on lines A, B, A: the
+    // block keeps a run per visit, and fetch from the second A run is
+    // gated by the block's first request for A (already in L1I), not
+    // by B's cold fill.
+    constexpr std::uint64_t kA = 0x10000;
+    constexpr std::uint64_t kB = 0x20000;
+    const auto record = [](std::uint64_t pc, std::uint64_t next,
+                           trace::InstClass cls) {
+        trace::TraceRecord r;
+        r.pc = pc;
+        r.nextPc = next;
+        r.cls = cls;
+        r.taken = cls == trace::InstClass::CondBranch;
+        return r;
+    };
+    std::vector<trace::TraceRecord> script = {
+        record(kA, kB, trace::InstClass::IntAlu),
+        record(kB, kA + 4, trace::InstClass::IntAlu),
+        record(kA + 4, kA + 8, trace::InstClass::IntAlu),
+        record(kA + 8, kA, trace::InstClass::CondBranch),
+    };
+    FrontEnd::Config fe;
+    fe.fetchWidth = 1;  // One instruction a cycle: every run shows.
+    Rig rig(std::move(script), fe);
+
+    // Warm A into the L1I, leave B cold.
+    const std::uint64_t line_a = kA >> 6;
+    const std::uint64_t line_b = kB >> 6;
+    const std::uint64_t warm = rig.hierarchy.requestInstruction(
+        line_a, 0, cache::RequestKind::Demand);
+    rig.hierarchy.tick(warm);
+
+    // Cycle until the block's four instructions are delivered,
+    // noting when each arrived and what fetch waited on before it.
+    std::vector<std::uint64_t> delivered_at;
+    std::vector<std::optional<std::uint64_t>> pending;
+    const std::uint64_t start = warm + 1;
+    for (std::uint64_t now = start;
+         now < start + 1000 && delivered_at.size() < 4; ++now) {
+        pending.push_back(rig.frontend.pendingFetchLine(now));
+        rig.cycle(now);
+        while (delivered_at.size() < rig.decode_queue.size() &&
+               delivered_at.size() < 4)
+            delivered_at.push_back(now);
+    }
+    ASSERT_EQ(delivered_at.size(), 4u);
+    const std::uint64_t expected_pcs[] = {kA, kB, kA + 4, kA + 8};
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(rig.decode_queue[i].rec.pc, expected_pcs[i]);
+
+    // A arrives at L1I-hit latency, B only after its cold fill.
+    const std::uint64_t first_a = delivered_at[0];
+    const std::uint64_t b = delivered_at[1];
+    EXPECT_EQ(first_a, start + rig.hierarchy.l1i().config().hitLatency);
+    EXPECT_GT(b, first_a + 20);
+    for (std::uint64_t now = first_a + 1; now < b; ++now)
+        EXPECT_EQ(pending[now - start], line_b) << "cycle " << now;
+    // The second A run follows B at once: its line was ready all
+    // along, so fetch never blames A again.
+    EXPECT_EQ(delivered_at[2], b + 1);
+    EXPECT_EQ(delivered_at[3], b + 2);
+    for (std::uint64_t now = b; now <= delivered_at[3]; ++now)
+        EXPECT_FALSE(pending[now - start].has_value()) << "cycle " << now;
 }
 
 } // namespace

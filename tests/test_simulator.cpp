@@ -2,12 +2,14 @@
  * @file
  * End-to-end simulator tests: metric consistency, determinism,
  * warmup-window accounting, configuration effects (FDIP, ideal L2I),
- * the §6 priority reset, and the event-driven run() against the
- * cycle-by-cycle stepCycle() reference.
+ * the §6 priority reset, the event-driven run() against the
+ * cycle-by-cycle stepCycle() reference, and run() against the stage
+ * calls driven over a std::deque decode queue.
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -279,6 +281,111 @@ TEST(Simulator, EventLoopMatchesCycleStepping)
             ++policy_index;
         }
         ++row_index;
+    }
+}
+
+/**
+ * Run @p config over a fresh executor of @p program the way a caller
+ * outside Simulator drives the layers: every cycle stepped through
+ * the public stage calls in stepCycle's order, with a std::deque as
+ * the decode queue, and the window composed as Simulator::collect
+ * does. Fills @p registry with the window's counters.
+ */
+Metrics
+dequeStageLoop(const trace::SyntheticProgram &program,
+               const Simulator::Config &config,
+               stats::Registry &registry)
+{
+    trace::SyntheticExecutor source(program);
+    cache::Hierarchy hierarchy(config.machine.hierarchy);
+    frontend::FrontEnd frontend(config.machine.frontend, source,
+                                hierarchy);
+    backend::Backend backend(config.machine.backend, hierarchy);
+    backend.setResolveCallback(
+        [&frontend](std::uint64_t seq, std::uint64_t cycle) {
+            frontend.onBranchResolved(seq, cycle);
+        });
+    std::deque<DynInst> decode_queue;
+    std::uint64_t now = 0;
+    const auto step = [&]() {
+        hierarchy.tick(now);
+        backend.executeStage(now);
+        backend.commitStage(now);
+        backend.issueStage(now, decode_queue,
+                           frontend.pendingFetchLine(now));
+        frontend.fetch(now, decode_queue);
+        frontend.prefetch(now);
+        frontend.predict(now);
+        ++now;
+    };
+
+    hierarchy.setWarming(true);
+    frontend.setWarming(true);
+    while (backend.stats().committed < config.warmupInstructions)
+        step();
+    hierarchy.setWarming(false);
+    frontend.setWarming(false);
+    hierarchy.stats().reset();
+    backend.stats().reset();
+    frontend.stats().reset();
+    const std::uint64_t measure_start = now;
+    while (backend.stats().committed < config.measureInstructions)
+        step();
+
+    const backend::BackendStats &bs = backend.stats();
+    MetricsInputs inputs;
+    inputs.benchmark = source.name();
+    inputs.policy = hierarchy.l2().policy().name();
+    inputs.hierarchy = hierarchy.stats();
+    inputs.backend = bs;
+    inputs.frontend = frontend.stats();
+    inputs.windowCycles = now - measure_start;
+    inputs.starvationCycles = bs.starvationCycles;
+    inputs.starvationIqEmptyCycles = bs.starvationIqEmptyCycles;
+    inputs.emissaryBits = hierarchy.l2().spec().family ==
+                          replacement::PolicyFamily::EmissaryP;
+    const auto hist = hierarchy.l2().priorityDistribution();
+    inputs.priorityDistribution.resize(hist.domain());
+    for (std::size_t i = 0; i < hist.domain(); ++i)
+        inputs.priorityDistribution[i] = hist.fraction(i);
+    populateRegistry(registry, hierarchy.stats(), bs, frontend.stats());
+    return composeMetrics(inputs);
+}
+
+TEST(Simulator, DequeStageLoopMatchesRun)
+{
+    // The stage templates' std::deque instantiation, driven cycle by
+    // cycle from outside, against run() over its FixedRing.
+    const char *const rows[] = {"tomcat", "verilator", "xapian"};
+    const char *const policies[] = {"TPLRU", "P(8):S&E&R(1/32)"};
+    for (const char *row : rows) {
+        const trace::SyntheticProgram program(trace::profileByName(row));
+        for (const char *policy : policies) {
+            const std::string cell = std::string(row) + " x " + policy;
+            MachineOptions options;
+            options.l2Policy = policy;
+            Simulator::Config config;
+            config.machine = alderlakeConfig(options);
+            config.warmupInstructions = 20000;
+            config.measureInstructions = 60000;
+
+            trace::SyntheticExecutor executor(program);
+            Simulator sim(config, executor);
+            const Metrics run = sim.run();
+            stats::Registry run_registry;
+            sim.exportRegistry(run_registry);
+
+            stats::Registry loop_registry;
+            const Metrics loop =
+                dequeStageLoop(program, config, loop_registry);
+            EXPECT_TRUE(run.toJson() == loop.toJson())
+                << cell << "\n" << run.toJson().dump() << "\n"
+                << loop.toJson().dump();
+            EXPECT_TRUE(registryJson(run_registry) ==
+                        registryJson(loop_registry))
+                << cell << "\n" << registryJson(run_registry).dump()
+                << "\n" << registryJson(loop_registry).dump();
+        }
     }
 }
 

@@ -19,6 +19,7 @@ TEST(PlruTree, RejectsBadWays)
     EXPECT_THROW(PlruTree(3), std::invalid_argument);
     EXPECT_THROW(PlruTree(0), std::invalid_argument);
     EXPECT_THROW(PlruTree(1), std::invalid_argument);
+    EXPECT_THROW(PlruTree(64), std::invalid_argument);
 }
 
 TEST(PlruTree, TouchedWayIsNotVictim)
@@ -33,15 +34,18 @@ TEST(PlruTree, TouchedWayIsNotVictim)
 TEST(PlruTree, RoundRobinSweepTouchesAll)
 {
     // Touching ways in victim order cycles through every way: no way
-    // is starved by the tree approximation.
-    PlruTree tree(16);
-    std::set<unsigned> seen;
-    for (int i = 0; i < 16; ++i) {
-        const unsigned v = tree.victim();
-        seen.insert(v);
-        tree.touch(v);
+    // is starved by the tree approximation. 32 ways fills all 31
+    // inline node bits.
+    for (const unsigned ways : {16u, 32u}) {
+        PlruTree tree(ways);
+        std::set<unsigned> seen;
+        for (unsigned i = 0; i < ways; ++i) {
+            const unsigned v = tree.victim();
+            seen.insert(v);
+            tree.touch(v);
+        }
+        EXPECT_EQ(seen.size(), ways);
     }
-    EXPECT_EQ(seen.size(), 16u);
 }
 
 TEST(PlruTree, VictimAmongRespectsEligibility)
@@ -50,15 +54,19 @@ TEST(PlruTree, VictimAmongRespectsEligibility)
     for (unsigned w = 0; w < 8; ++w)
         tree.touch(w);
     // Only odd ways eligible.
-    const unsigned v =
-        tree.victimAmong([](unsigned w) { return w % 2 == 1; });
+    const unsigned v = tree.victimAmong(0xAAu);
     EXPECT_EQ(v % 2, 1u);
 
-    // Single eligible way is always chosen, wherever the bits point.
+    // Single eligible way is always chosen, wherever the bits point,
+    // up to the top way of a 32-way tree.
     for (unsigned only = 0; only < 8; ++only) {
-        const unsigned chosen = tree.victimAmong(
-            [only](unsigned w) { return w == only; });
+        const unsigned chosen = tree.victimAmong(1u << only);
         EXPECT_EQ(chosen, only);
+    }
+    PlruTree wide(32);
+    for (unsigned only = 0; only < 32; ++only) {
+        EXPECT_EQ(wide.victimAmong(1u << only), only);
+        wide.touch(only);
     }
 }
 
@@ -68,8 +76,7 @@ TEST(PlruTree, VictimAmongMatchesVictimWhenAllEligible)
     tree.touch(3);
     tree.touch(9);
     tree.touch(14);
-    EXPECT_EQ(tree.victimAmong([](unsigned) { return true; }),
-              tree.victim());
+    EXPECT_EQ(tree.victimAmong(0xFFFFu), tree.victim());
 }
 
 TEST(TreePlru, BehavesLikeLruOnSequentialFill)
